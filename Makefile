@@ -32,8 +32,11 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+## race: race-test the concurrency-bearing packages and the root package
+## at GOMAXPROCS=4, so scheduler-dependent paths always run with more than
+## one P, whatever the machine's core count.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/clusterchaos/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
+	GOMAXPROCS=4 $(GO) test -race . ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/clusterchaos/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
 
 ## obs-smoke: boot the instrumented serving stack on a loopback port, drive
 ## requests through it and fail on any malformed /metrics exposition line
@@ -93,8 +96,8 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 ## bench-kernels: regenerate the committed BENCH_kernels.json micro-benchmark
-## report (flat vs recursive kernels, f32 tier, pooled evaluation, Chase–Lev
-## vs mutex deque, ParallelFor).
+## report (flat vs recursive kernels, pooled evaluation, Chase–Lev vs mutex
+## deque, ParallelFor).
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 

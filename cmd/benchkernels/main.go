@@ -1,13 +1,10 @@
 // Command benchkernels measures the micro-level costs behind the
 // two-phase treecode: the Born and energy evaluation phases (recursive
 // fused traversal vs flat interaction-list kernels, plus the list rebuild
-// cost amortized by ε-sweeps and docking poses), the same flat kernels in
-// the float32 storage tier and under the work-stealing pool at
-// GOMAXPROCS workers, the Chase–Lev work-stealing deque primitives
-// against the mutex-deque baseline, and ParallelFor dispatch through both
-// pools. The f32 entries also record the observed f32-vs-f64 relative
-// error for each workload (max per-atom Born-radius error, total-energy
-// error) in the derived block.
+// cost amortized by ε-sweeps and docking poses), the same flat kernels
+// under the work-stealing pool at GOMAXPROCS workers, the Chase–Lev
+// work-stealing deque primitives against the mutex-deque baseline, and
+// ParallelFor dispatch through both pools.
 //
 // Results are printed and written as JSON (default BENCH_kernels.json,
 // the file committed at the repository root).
@@ -163,40 +160,12 @@ func main() {
 	})
 	rep.Derived["born_eval_speedup"] = recNS / flatNS
 
-	// Reduced-precision tier: the same geometry in f32 storage. The tier
-	// makes identical near/far decisions, so the lists are interchangeable;
-	// it is rebuilt from scratch here to exercise its own construction.
-	bs32 := core.NewBornSolver(m, qpts, core.BornConfig{Eps: 0.9, Precision: core.Float32})
-	bornList32 := bs32.BuildBornList(0, bs32.NumQLeaves())
-	f32NS := run("born/flat-eval-f32", func(b *testing.B) {
-		sN, sA := bs32.NewAccumulators()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bs32.EvalBornList(bornList32, sN, sA)
-		}
-	})
-	rep.Derived["born_f32_speedup"] = flatNS / f32NS
-
-	// Born radii through the treecode feed the energy benchmarks, and the
-	// f64-vs-f32 radii give the observed tier error for the Born workload.
+	// Born radii through the treecode feed the energy benchmarks.
 	sN, sA := bs.NewAccumulators()
 	bs.EvalBornList(bornList, sN, sA)
 	rTree := make([]float64, m.N())
 	bs.PushIntegrals(sN, sA, 0, int32(m.N()), rTree)
 	radii := bs.RadiiToOriginal(rTree)
-
-	sN32, sA32 := bs32.NewAccumulators()
-	bs32.EvalBornList(bornList32, sN32, sA32)
-	rTree32 := make([]float64, m.N())
-	bs32.PushIntegrals(sN32, sA32, 0, int32(m.N()), rTree32)
-	radii32 := bs32.RadiiToOriginal(rTree32)
-	maxRel := 0.0
-	for i := range radii {
-		if rel := math.Abs(radii32[i]-radii[i]) / math.Abs(radii[i]); rel > maxRel {
-			maxRel = rel
-		}
-	}
-	rep.Derived["born_f32_max_rel_err"] = maxRel
 
 	es := core.NewEpolSolverFromMolecule(m, radii, core.EpolConfig{Eps: 0.9})
 	epolList := es.BuildEpolList(0, es.NumLeaves())
@@ -235,21 +204,6 @@ func main() {
 		}
 	})
 	rep.Derived["epol_eval_speedup"] = recNS / flatNS
-
-	// f32 energy tier from the same (f64) Born radii, so the derived error
-	// isolates the energy kernel rather than compounding the Born tier's.
-	es32 := core.NewEpolSolverFromMolecule(m, radii, core.EpolConfig{Eps: 0.9, Precision: core.Float32})
-	epolList32 := es32.BuildEpolList(0, es32.NumLeaves())
-	f32NS = run("epol/flat-eval-f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			raw, _ := es32.EvalEpolList(epolList32)
-			_ = raw
-		}
-	})
-	rep.Derived["epol_f32_speedup"] = flatNS / f32NS
-	raw64, _ := es.EvalEpolList(epolList)
-	raw32, _ := es32.EvalEpolList(epolList32)
-	rep.Derived["epol_f32_rel_err"] = math.Abs(raw32-raw64) / math.Abs(raw64)
 
 	// ---- scheduler primitives -------------------------------------------
 	task := sched.Task(func(int) {})
@@ -332,9 +286,6 @@ func main() {
 	}
 	fmt.Printf("\nborn eval speedup (flat vs recursive): %.2fx\n", rep.Derived["born_eval_speedup"])
 	fmt.Printf("epol eval speedup (flat vs recursive): %.2fx\n", rep.Derived["epol_eval_speedup"])
-	fmt.Printf("f32 tier: born %.2fx (max radius rel err %.2g), epol %.2fx (energy rel err %.2g)\n",
-		rep.Derived["born_f32_speedup"], rep.Derived["born_f32_max_rel_err"],
-		rep.Derived["epol_f32_speedup"], rep.Derived["epol_f32_rel_err"])
 	fmt.Printf("wrote %s\n", *outPath)
 }
 
@@ -384,10 +335,12 @@ func checkAgainst(baseline, fresh *report, tol float64) int {
 	return 0
 }
 
-// evalBornListParallel mirrors the engine's pooled Born evaluation: far
-// and near entries form one combined index space the workers chunk and
-// steal, each into its own pre-allocated accumulator pair, reduced into
-// sNode/sAtom afterwards. Accumulators are not zeroed between calls —
+// evalBornListParallel times pooled Born evaluation with per-worker
+// accumulators: far and near entries form one combined index space the
+// workers chunk and steal, each into its own pre-allocated accumulator
+// pair, reduced into sNode/sAtom afterwards. (The engine instead reduces
+// fixed chunks in chunk order; this form keeps the committed baseline
+// comparable.) Accumulators are not zeroed between calls —
 // like the serial benchmark loop, the sums just keep growing.
 func evalBornListParallel(bs *core.BornSolver, list *core.InteractionList, pool *sched.Pool, accN, accA [][]float64, sNode, sAtom []float64) {
 	nf := len(list.Far)
@@ -421,9 +374,9 @@ func evalBornListParallel(bs *core.BornSolver, list *core.InteractionList, pool 
 	}
 }
 
-// evalEpolListParallel mirrors the engine's pooled energy evaluation:
-// per-worker partial sums over the combined near+far index space, reduced
-// to the raw ordered-pair sum.
+// evalEpolListParallel times pooled energy evaluation with per-worker
+// partial sums over the combined near+far index space, reduced to the raw
+// ordered-pair sum.
 func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool *sched.Pool, partial []float64) float64 {
 	nn := len(list.Near)
 	total := nn + len(list.Far)

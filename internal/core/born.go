@@ -65,13 +65,15 @@ type BornConfig struct {
 	CriterionPower int
 	// LeafSize is the octree leaf capacity (≤0 → octree.DefaultLeafSize).
 	LeafSize int
-	// Precision selects the flat-kernel storage tier (soa32.go). Float64
-	// (zero value) is exact; Float32 stores coordinates and weights in
-	// float32 with float64 accumulation. The recursive oracle and the
-	// list builders always run in float64, so lists and Stats are
-	// tier-independent.
+	// Deprecated: float64 is the only storage tier; ignored, kept so existing callers build.
 	Precision Precision
 }
+
+// Precision names a kernel storage tier. Float64 is the only one.
+type Precision uint8
+
+// Float64 is the kernels' storage and arithmetic tier.
+const Float64 Precision = 0
 
 func (c BornConfig) withDefaults() BornConfig {
 	if c.Eps <= 0 {
@@ -101,8 +103,8 @@ func sepRatio(eps float64, power int) float64 {
 // squared distances it becomes d² ≥ r²·k² — no square root per visited
 // node pair, and k² is computed once per solver instead of the ratio
 // arithmetic running per pair. Every traversal (recursive oracles, list
-// builders, frontier expansion) uses the same squared test, so Stats
-// stay in lockstep across paths.
+// builders) uses the same squared test, so Stats stay in lockstep across
+// paths.
 func sepFactor2(c float64) float64 {
 	k := (c + 1) / (c - 1)
 	return k * k
@@ -146,10 +148,6 @@ type BornSolver struct {
 	// (x, y, z, pad) so the vector far-field kernel loads a center with
 	// one 32-byte read instead of three strided ones.
 	aCent []float64
-
-	// f32 holds the reduced-precision storage tier (nil unless the config
-	// selects Float32); kernels32.go dispatches on it.
-	f32 *bornSoA32
 }
 
 // kernel evaluates the configured integrand's denominator given the
@@ -228,9 +226,6 @@ func NewBornSolver(mol *molecule.Molecule, qpts []surface.QPoint, cfg BornConfig
 		s.aRange[n] = int64(lo) | int64(hi)<<32
 		c := s.TA.Nodes[n].Center
 		s.aCent[4*n], s.aCent[4*n+1], s.aCent[4*n+2] = c.X, c.Y, c.Z
-	}
-	if cfg.Precision == Float32 {
-		s.f32 = newBornSoA32(s)
 	}
 	return s
 }

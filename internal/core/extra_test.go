@@ -53,72 +53,6 @@ func TestEnergyScaleValue(t *testing.T) {
 	}
 }
 
-func TestDualFrontierCompletesToDual(t *testing.T) {
-	// Executing the frontier pairs must reproduce AccumulateDual exactly.
-	m, q := testMol(400, 92)
-	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
-
-	n1, a1 := bs.NewAccumulators()
-	bs.AccumulateDual(n1, a1)
-
-	n2, a2 := bs.NewAccumulators()
-	for _, pr := range bs.DualFrontier(64) {
-		bs.AccumulateDualPair(pr[0], pr[1], n2, a2)
-	}
-	for i := range n1 {
-		if math.Abs(n1[i]-n2[i]) > 1e-12*(1+math.Abs(n1[i])) {
-			t.Fatalf("node accumulator %d differs: %v vs %v", i, n1[i], n2[i])
-		}
-	}
-	for i := range a1 {
-		if math.Abs(a1[i]-a2[i]) > 1e-12*(1+math.Abs(a1[i])) {
-			t.Fatalf("atom accumulator %d differs: %v vs %v", i, a1[i], a2[i])
-		}
-	}
-}
-
-func TestEpolDualFrontierCompletes(t *testing.T) {
-	m, q := testMol(400, 93)
-	R := gb.BornRadiiR6(m, q)
-	es := NewEpolSolverFromMolecule(m, R, EpolConfig{Eps: 0.9})
-
-	full, _ := es.EnergyDual()
-	var sum float64
-	fr := es.EpolDualFrontier(100)
-	if len(fr) < 50 {
-		t.Fatalf("frontier too small: %d pairs", len(fr))
-	}
-	for _, pr := range fr {
-		e, _ := es.EnergyDualPair(pr[0], pr[1])
-		sum += e
-	}
-	if e := relErr(sum, full); e > 1e-12 {
-		t.Errorf("frontier sum %v != dual %v", sum, full)
-	}
-}
-
-func TestFrontierRequestLargerThanTree(t *testing.T) {
-	// Asking for more pairs than the recursion contains must terminate
-	// with all-terminal pairs.
-	m, q := testMol(60, 94)
-	bs := NewBornSolver(m, q, BornConfig{Eps: 0.9})
-	fr := bs.DualFrontier(1 << 20)
-	if len(fr) == 0 {
-		t.Fatal("empty frontier")
-	}
-	n2, a2 := bs.NewAccumulators()
-	for _, pr := range fr {
-		bs.AccumulateDualPair(pr[0], pr[1], n2, a2)
-	}
-	n1, a1 := bs.NewAccumulators()
-	bs.AccumulateDual(n1, a1)
-	for i := range a1 {
-		if math.Abs(a1[i]-a2[i]) > 1e-12*(1+math.Abs(a1[i])) {
-			t.Fatalf("saturated frontier wrong at atom %d", i)
-		}
-	}
-}
-
 func TestLeafEnergyRowsPartition(t *testing.T) {
 	// Summing row-restricted energies over disjoint ranges equals the
 	// full leaf-driven sum (linearity of the far field in row charges).

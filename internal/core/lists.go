@@ -179,18 +179,6 @@ func (s *BornSolver) BuildBornDualListInto(l *InteractionList) *InteractionList 
 	return l
 }
 
-// EvalBornNearPair evaluates one near-field list entry exactly: every
-// q-point under q against every atom under the T_A leaf a, accumulating
-// into sAtom (tree order).
-func (s *BornSolver) EvalBornNearPair(a, q int32, sAtom []float64) {
-	one := [1]NodePair{{a, q}}
-	if s.f32 != nil {
-		s.evalBornNearRunF32(one[:], q, sAtom)
-		return
-	}
-	s.evalBornNearRun(one[:], q, sAtom)
-}
-
 // EvalBornNearRange evaluates the near entries [lo, hi) of the list.
 // Entries accumulate into disjoint sAtom rows only when their T_A leaves
 // are disjoint; parallel callers must partition entries, not rows.
@@ -202,7 +190,7 @@ func (s *BornSolver) EvalBornNearPair(a, q int32, sAtom []float64) {
 // the run. Accumulation order is identical to the entry-at-a-time form.
 func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []float64) {
 	near := l.Near[lo:hi]
-	if hasAVX2FMA && s.f32 == nil && len(near) > 0 {
+	if hasAVX2FMA && len(near) > 0 {
 		s.evalBornNearRangeVec(near, sAtom)
 		return
 	}
@@ -212,11 +200,7 @@ func (s *BornSolver) EvalBornNearRange(l *InteractionList, lo, hi int, sAtom []f
 		for run < len(near) && near[run].B == q {
 			run++
 		}
-		if s.f32 != nil {
-			s.evalBornNearRunF32(near[:run], q, sAtom)
-		} else {
-			s.evalBornNearRun(near[:run], q, sAtom)
-		}
+		s.evalBornNearRun(near[:run], q, sAtom)
 		near = near[run:]
 	}
 }
@@ -278,10 +262,6 @@ func (s *BornSolver) evalBornNearRun(entries []NodePair, q int32, sAtom []float6
 // mirrors rather than via the recursion's sqrt (the values differ from
 // the oracle only in the last couple of ulps).
 func (s *BornSolver) EvalBornFarRange(l *InteractionList, lo, hi int, sNode []float64) {
-	if s.f32 != nil {
-		s.evalBornFarRangeF32(l, lo, hi, sNode)
-		return
-	}
 	if hasAVX2FMA && lo < hi {
 		s.evalBornFarRangeVec(l.Far[lo:hi], sNode)
 		return
@@ -471,20 +451,6 @@ func (s *EpolSolver) nnz(n int32) int64 {
 	return int64(s.nzStart[n+1] - s.nzStart[n])
 }
 
-// EvalEpolNearPair evaluates one exact near-field entry: all ordered atom
-// pairs (u-leaf rows × v-leaf columns), including self pairs when the
-// leaves coincide. Returns the raw (unscaled) sum.
-func (s *EpolSolver) EvalEpolNearPair(u, v int32) float64 {
-	one := [1]NodePair{{u, v}}
-	switch {
-	case s.f32 != nil:
-		return s.evalEpolNearRunF32(one[:], v)
-	case s.cfg.Math == gb.Approximate:
-		return s.evalEpolNearRunApprox(one[:], v)
-	}
-	return s.evalEpolNearRun(one[:], v)
-}
-
 // evalEpolNearRun evaluates a run of near entries sharing the v-leaf v in
 // Exact math. The v-side tile (positions, charges, Born radii — ≤ LeafSize
 // atoms, L1-resident) is sliced once per run; u-leaf rows are unrolled
@@ -660,8 +626,7 @@ func (s *EpolSolver) EvalEpolFarPair(u, v int32) float64 {
 // run and swept over every u-row of every entry in the run.
 func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
 	near := l.Near[lo:hi]
-	if hasAVX2FMA && s.f32 == nil && s.cfg.Math != gb.Approximate &&
-		len(near) > 0 && len(s.uPos) > 0 {
+	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(near) > 0 && len(s.uPos) > 0 {
 		return s.evalEpolNearRangeVec(near)
 	}
 	var sum float64
@@ -671,14 +636,7 @@ func (s *EpolSolver) EvalEpolNearRange(l *InteractionList, lo, hi int) float64 {
 		for run < len(near) && near[run].B == v {
 			run++
 		}
-		switch {
-		case s.f32 != nil:
-			sum += s.evalEpolNearRunF32(near[:run], v)
-		case s.cfg.Math == gb.Approximate:
-			sum += s.evalEpolNearRunApprox(near[:run], v)
-		default:
-			sum += s.evalEpolNearRun(near[:run], v)
-		}
+		sum += s.evalEpolNearRunScalar(near[:run], v)
 		near = near[run:]
 	}
 	return sum
@@ -696,44 +654,34 @@ func (s *EpolSolver) EvalEpolNearEntryValues(near []NodePair, idxs []int32, out 
 	if len(near) == 0 {
 		return
 	}
-	if hasAVX2FMA && s.f32 == nil && s.cfg.Math != gb.Approximate && len(s.uPos) > 0 {
+	if hasAVX2FMA && s.cfg.Math != gb.Approximate && len(s.uPos) > 0 {
 		s.evalEpolNearEntryValuesVec(near, idxs, out)
 		return
 	}
 	v := near[0].B
 	if idxs == nil {
 		for k := range near {
-			out[k] = s.evalEpolNearEntryScalar(near, k, v)
+			out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
 		}
 		return
 	}
 	for _, k := range idxs {
-		out[k] = s.evalEpolNearEntryScalar(near, int(k), v)
+		out[k] = s.evalEpolNearRunScalar(near[k:k+1], v)
 	}
 }
 
-// evalEpolNearEntryScalar is the non-vector single-entry evaluation, with
-// exactly the dispatch EvalEpolNearRange applies to a one-entry range.
-func (s *EpolSolver) evalEpolNearEntryScalar(near []NodePair, k int, v int32) float64 {
-	switch {
-	case s.f32 != nil:
-		return s.evalEpolNearRunF32(near[k:k+1], v)
-	case s.cfg.Math == gb.Approximate:
-		return s.evalEpolNearRunApprox(near[k:k+1], v)
-	default:
-		return s.evalEpolNearRun(near[k:k+1], v)
+// evalEpolNearRunScalar is the non-vector evaluation of a run sharing the
+// v-leaf v, in the solver's math mode.
+func (s *EpolSolver) evalEpolNearRunScalar(run []NodePair, v int32) float64 {
+	if s.cfg.Math == gb.Approximate {
+		return s.evalEpolNearRunApprox(run, v)
 	}
+	return s.evalEpolNearRun(run, v)
 }
 
 // EvalEpolFarRange sums the far entries [lo, hi) of the list.
 func (s *EpolSolver) EvalEpolFarRange(l *InteractionList, lo, hi int) float64 {
 	var sum float64
-	if s.f32 != nil {
-		for _, p := range l.Far[lo:hi] {
-			sum += s.evalEpolFarPairF32(p.A, p.B)
-		}
-		return sum
-	}
 	for _, p := range l.Far[lo:hi] {
 		sum += s.EvalEpolFarPair(p.A, p.B)
 	}

@@ -110,10 +110,3 @@ func (sm *SimModel) DistributeData(P int, m simtime.Machine) DataDistribution {
 	dd.ExchangeCostSec = m.CollectiveCost("allgatherv", int(dd.ExchangeWords/int64(max(P, 1))), P, rpn)
 	return dd
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -102,12 +102,7 @@ type Options struct {
 	BornEps, EpolEps float64
 	// Math selects exact or approximate sqrt/exp.
 	Math gb.MathMode
-	// Precision selects the flat kernels' storage tier: core.Float64 (the
-	// default, oracle-parity) or core.Float32 (float32 storage and
-	// arithmetic with float64 accumulation — ~1e-6 relative error for
-	// half the hot-path memory traffic; see DESIGN.md §11). Applies to
-	// both phases: Prepare builds the Born solver's mirrors, EvalEpol the
-	// energy solver's.
+	// Deprecated: float64 is the only storage tier; ignored, kept so existing callers build.
 	Precision core.Precision
 	// LeafSize is the octree leaf capacity (0 = default).
 	LeafSize int
@@ -116,16 +111,6 @@ type Options struct {
 	CriterionPower int
 	// Division selects node-based (default) or atom-based division.
 	Division Division
-	// UseFlatKernels selects the two-phase treecode in the real engines:
-	// the traversal runs once as list construction and the arithmetic as
-	// flat SoA kernels over the recorded interaction lists (see
-	// core.InteractionList). Defaults to on (Auto); Off forces the
-	// recursive fused traversal, which is kept as the reference oracle.
-	// Work counters are identical either way for the distributed engines;
-	// OctCilk's flat path reports the full dual traversal's NodesVisited
-	// where the recursive path omits the frontier pre-expansion steps.
-	// Energies and radii agree to ~1e-12 (summation order differs).
-	UseFlatKernels Toggle
 	// TopoCollectives selects the topology-aware collective algorithms in
 	// the cluster layer (recursive-doubling allreduce, ring allgatherv,
 	// binomial bcast, dissemination barrier — see cluster/collectives.go)

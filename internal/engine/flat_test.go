@@ -4,29 +4,26 @@ import (
 	"fmt"
 	"testing"
 
+	"octgb/internal/core"
 	"octgb/internal/gb"
 )
 
-// The engine-level flat-vs-recursive equivalence suite: every real engine
-// must produce the same energies, radii and treecode work counters whether
-// it runs the default two-phase interaction-list path or the recursive
-// fused traversals (UseFlatKernels Off). OctCilk's NodesVisited is exempt:
-// its recursive path counts from the pre-expanded dual frontier, the flat
-// path from the root (see Options.UseFlatKernels).
+// The engine-level parity suite: every real engine runs the two-phase
+// interaction-list path, and must reproduce the serial recursive oracle —
+// core.ComputeSerial (single-tree traversals, the distributed engines'
+// algorithm) or core.ComputeSerialDual (dual-tree, OctCilk's) — in
+// energies, radii and treecode work counters. OctCilk's NodesVisited is
+// exempt: it counts the dual list build's visits, not a recursion's.
 
-func runBoth(t *testing.T, pr *Problem, k Kind, o Options) (flat, rec RealReport) {
-	t.Helper()
-	o.UseFlatKernels = On
-	flat, err := RunReal(pr, k, o)
-	if err != nil {
-		t.Fatalf("flat run: %v", err)
+// serialOracle runs the recursive serial pipeline matching engine k.
+func serialOracle(pr *Problem, k Kind, o Options) core.Result {
+	o = o.withDefaults(k)
+	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
+	ec := core.EpolConfig{Eps: o.EpolEps, Math: o.Math}
+	if k == OctCilk {
+		return core.ComputeSerialDual(pr.Mol, pr.QPts, bc, ec)
 	}
-	o.UseFlatKernels = Off
-	rec, err = RunReal(pr, k, o)
-	if err != nil {
-		t.Fatalf("recursive run: %v", err)
-	}
-	return flat, rec
+	return core.ComputeSerial(pr.Mol, pr.QPts, bc, ec)
 }
 
 func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
@@ -44,9 +41,13 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%v/P=%d/p=%d", c.kind, c.o.Ranks, c.o.Threads), func(t *testing.T) {
-			flat, rec := runBoth(t, pr, c.kind, c.o)
-			if e := relErr(flat.Energy, rec.Energy); e > 1e-12 {
-				t.Errorf("energy: flat %v vs recursive %v (rel %v)", flat.Energy, rec.Energy, e)
+			flat, err := RunReal(pr, c.kind, c.o)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			rec := serialOracle(pr, c.kind, c.o)
+			if e := relErr(flat.Energy, rec.Epol); e > 1e-12 {
+				t.Errorf("energy: flat %v vs recursive %v (rel %v)", flat.Energy, rec.Epol, e)
 			}
 			for i := range rec.BornRadii {
 				if e := relErr(flat.BornRadii[i], rec.BornRadii[i]); e > 1e-12 {
@@ -72,23 +73,17 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 }
 
 // TestFlatDistributedDataEnergy: the NaN-poisoned distributed-data engine
-// must agree between the two paths — the flat kernels respect the same
-// residency contract as the recursion.
+// must agree with the serial recursive oracle — the flat kernels respect
+// the residency contract.
 func TestFlatDistributedDataEnergy(t *testing.T) {
 	pr := testProblem(600, 72)
-	var o Options
-	o.UseFlatKernels = On
-	flat, err := RunDistributedDataEnergy(pr, 3, o)
+	flat, err := RunDistributedDataEnergy(pr, 3, Options{})
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
-	o.UseFlatKernels = Off
-	rec, err := RunDistributedDataEnergy(pr, 3, o)
-	if err != nil {
-		t.Fatalf("recursive: %v", err)
-	}
-	if e := relErr(flat, rec); e > 1e-12 {
-		t.Errorf("distributed-data energy: flat %v vs recursive %v (rel %v)", flat, rec, e)
+	rec := serialOracle(pr, OctMPI, Options{})
+	if e := relErr(flat, rec.Epol); e > 1e-12 {
+		t.Errorf("distributed-data energy: flat %v vs recursive %v (rel %v)", flat, rec.Epol, e)
 	}
 }
 

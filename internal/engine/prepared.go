@@ -41,8 +41,8 @@ type Prepared struct {
 // Prepare runs the preprocessing phase (steps 1–4: octree construction,
 // Born integrals, Born radii) with the shared-memory engine and returns
 // the reusable result. The Born-relevant fields of o (BornEps, LeafSize,
-// CriterionPower, Threads, UseFlatKernels) apply here; the E_pol fields
-// are consumed later by EvalEpol.
+// CriterionPower, Threads) apply here; the E_pol fields are consumed later
+// by EvalEpol.
 func Prepare(pr *Problem, o Options) (*Prepared, error) {
 	o = o.withDefaults(OctCilk)
 	if err := o.Validate(); err != nil {
@@ -66,7 +66,7 @@ func NewProblemFromSurface(mol *molecule.Molecule, qpts []surface.QPoint) *Probl
 // with (*Prepared).evalEpol, so the cold path and the cached path execute
 // identical code.
 func prepareCilk(pr *Problem, o Options) *Prepared {
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
+	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
 	buildStart := time.Now()
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
@@ -76,36 +76,9 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 
 	p := &Prepared{Pr: pr, bs: bs, opts: o}
 	sNode, sAtom := bs.NewAccumulators()
-	if o.UseFlatKernels.enabled(true) {
-		list := bs.BuildBornDualList()
-		p.BornStats = list.Stats()
-		p.BornSched = evalBornListParallel(bs, list, pool, sNode, sAtom)
-	} else {
-		frontier := bs.DualFrontier(8 * o.Threads * o.Threads)
-		accN := make([][]float64, pool.Workers())
-		accA := make([][]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		p.BornSched = pool.ParallelFor(len(frontier), 1, func(w, lo, hi int) {
-			if accN[w] == nil {
-				accN[w], accA[w] = bs.NewAccumulators()
-			}
-			for i := lo; i < hi; i++ {
-				statsW[w].Add(bs.AccumulateDualPair(frontier[i][0], frontier[i][1], accN[w], accA[w]))
-			}
-		})
-		for w := range accN {
-			if accN[w] == nil {
-				continue
-			}
-			for i := range sNode {
-				sNode[i] += accN[w][i]
-			}
-			for i := range sAtom {
-				sAtom[i] += accA[w][i]
-			}
-			p.BornStats.Add(statsW[w])
-		}
-	}
+	list := bs.BuildBornDualList()
+	p.BornStats = list.Stats()
+	p.BornSched = evalBornListParallel(bs, list, pool, sNode, sAtom)
 	observePhase(o.Observe, "born", "engine.born", 0, bornStart, time.Since(bornStart))
 	pushStart := time.Now()
 	rTree := make([]float64, n)
@@ -117,10 +90,10 @@ func prepareCilk(pr *Problem, o Options) *Prepared {
 
 // EvalEpol evaluates the polarization energy (step 6) over the prebuilt
 // trees and Born radii. o supplies only the evaluation-time knobs —
-// EpolEps, Math, Threads, UseFlatKernels; the Born-phase fields are fixed
-// at Prepare time and ignored here. The returned report echoes the
-// prepared BornRadii/BornStats so warm and cold reports have the same
-// shape; Wall covers only this evaluation.
+// EpolEps, Math, Threads; the Born-phase fields are fixed at Prepare time
+// and ignored here. The returned report echoes the prepared
+// BornRadii/BornStats so warm and cold reports have the same shape; Wall
+// covers only this evaluation.
 //
 // A cold RunReal(OctCilk) and Prepare+EvalEpol with the same options
 // execute the same code path and produce bitwise-identical energies (see
@@ -152,30 +125,10 @@ func (p *Prepared) evalEpol(o Options) RealReport {
 		BornRadii: p.BornRadii,
 		BornStats: p.BornStats,
 	}
-	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision})
-	pool := sched.NewPool(o.Threads)
-	var raw float64
-	var s2 sched.Stats
-	if o.UseFlatKernels.enabled(true) {
-		list := es.BuildEpolDualList()
-		rep.EpolStats = list.Stats()
-		raw, s2 = evalEpolListParallel(es, list, pool)
-	} else {
-		ef := es.EpolDualFrontier(8 * o.Threads * o.Threads)
-		partial := make([]float64, pool.Workers())
-		estatsW := make([]core.Stats, pool.Workers())
-		s2 = pool.ParallelFor(len(ef), 1, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e, st := es.EnergyDualPair(ef[i][0], ef[i][1])
-				partial[w] += e
-				estatsW[w].Add(st)
-			}
-		})
-		for w := range partial {
-			raw += partial[w]
-			rep.EpolStats.Add(estatsW[w])
-		}
-	}
+	es := core.NewEpolSolver(p.bs.TA, p.Pr.Charges, p.BornRadii, core.EpolConfig{Eps: o.EpolEps, Math: o.Math})
+	list := es.BuildEpolDualList()
+	rep.EpolStats = list.Stats()
+	raw, s2 := evalEpolListParallel(es, list, sched.NewPool(o.Threads))
 	rep.Energy = raw * core.EnergyScale()
 	rep.Sched = p.BornSched
 	rep.Sched.Add(s2)
@@ -208,6 +161,5 @@ func (p *Prepared) MemoryBytes() int64 {
 	size += q * (vec3Bytes + 3*floatBytes)      // wn + SoA mirrors
 	size += nodesQ * (vec3Bytes + 3*floatBytes) // nodeWN + SoA mirrors
 	size += n * 3 * floatBytes                  // radii, charges, atomR
-	size += p.bs.TierBytes()                    // f32 storage-tier mirrors
 	return size
 }

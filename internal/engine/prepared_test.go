@@ -11,49 +11,63 @@ import (
 
 // TestPreparedMatchesCold is the golden test of the Prepare/EvalEpol split:
 // re-evaluating a cached Prepared must reproduce the cold path to 1e-12
-// (in fact bitwise — both paths execute the same code), for both kernel
-// paths and several ε_E settings.
+// (in fact bitwise — both paths execute the same code) for several ε_E
+// settings, and both must match the serial dual-tree recursion.
 func TestPreparedMatchesCold(t *testing.T) {
 	mol := molecule.GenerateProtein("golden", 900, 21)
-	for _, flat := range []Toggle{Auto, Off} {
-		for _, epolEps := range []float64{0.9, 0.5} {
-			o := Options{Threads: 2, EpolEps: epolEps, UseFlatKernels: flat}
+	for _, epolEps := range []float64{0.9, 0.5} {
+		o := Options{Threads: 2, EpolEps: epolEps}
 
-			cold, err := RunReal(NewProblem(mol, surface.Default()), OctCilk, o)
-			if err != nil {
-				t.Fatalf("cold run: %v", err)
-			}
+		pr := NewProblem(mol, surface.Default())
+		cold, err := RunReal(pr, OctCilk, o)
+		if err != nil {
+			t.Fatalf("cold run: %v", err)
+		}
 
-			p, err := Prepare(NewProblem(mol, surface.Default()), o)
-			if err != nil {
-				t.Fatalf("Prepare: %v", err)
-			}
-			warm, err := p.EvalEpol(o)
-			if err != nil {
-				t.Fatalf("EvalEpol: %v", err)
-			}
+		p, err := Prepare(NewProblem(mol, surface.Default()), o)
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		warm, err := p.EvalEpol(o)
+		if err != nil {
+			t.Fatalf("EvalEpol: %v", err)
+		}
 
-			if rel := math.Abs(warm.Energy-cold.Energy) / math.Abs(cold.Energy); rel > 1e-12 {
-				t.Fatalf("flat=%v ε_E=%g: cached energy %.15g vs cold %.15g (rel %.2g > 1e-12)",
-					flat, epolEps, warm.Energy, cold.Energy, rel)
+		if rel := math.Abs(warm.Energy-cold.Energy) / math.Abs(cold.Energy); rel > 1e-12 {
+			t.Fatalf("ε_E=%g: cached energy %.15g vs cold %.15g (rel %.2g > 1e-12)",
+				epolEps, warm.Energy, cold.Energy, rel)
+		}
+		for i := range cold.BornRadii {
+			if math.Abs(warm.BornRadii[i]-cold.BornRadii[i]) > 1e-12*cold.BornRadii[i] {
+				t.Fatalf("Born radius %d differs: %g vs %g", i, warm.BornRadii[i], cold.BornRadii[i])
 			}
-			for i := range cold.BornRadii {
-				if math.Abs(warm.BornRadii[i]-cold.BornRadii[i]) > 1e-12*cold.BornRadii[i] {
-					t.Fatalf("Born radius %d differs: %g vs %g", i, warm.BornRadii[i], cold.BornRadii[i])
-				}
+		}
+		if warm.BornStats != cold.BornStats || warm.EpolStats != cold.EpolStats {
+			t.Fatalf("work counters differ between cached and cold paths")
+		}
+
+		rec := serialOracle(pr, OctCilk, o)
+		if rel := relErr(warm.Energy, rec.Epol); rel > 1e-12 {
+			t.Fatalf("ε_E=%g: cached energy %.15g vs recursive %.15g (rel %.2g > 1e-12)",
+				epolEps, warm.Energy, rec.Epol, rel)
+		}
+		for i := range rec.BornRadii {
+			if relErr(warm.BornRadii[i], rec.BornRadii[i]) > 1e-12 {
+				t.Fatalf("Born radius %d: cached %g vs recursive %g", i, warm.BornRadii[i], rec.BornRadii[i])
 			}
-			if warm.BornStats != cold.BornStats || warm.EpolStats != cold.EpolStats {
-				t.Fatalf("work counters differ between cached and cold paths")
-			}
+		}
+		if warm.BornStats.FarEval != rec.BornStats.FarEval || warm.BornStats.NearPairs != rec.BornStats.NearPairs ||
+			warm.EpolStats.FarEval != rec.EpolStats.FarEval || warm.EpolStats.NearPairs != rec.EpolStats.NearPairs {
+			t.Fatalf("work counters: cached %+v/%+v vs recursive %+v/%+v",
+				warm.BornStats, warm.EpolStats, rec.BornStats, rec.EpolStats)
 		}
 	}
 }
 
 // TestPreparedReEvalStable: evaluating the same Prepared repeatedly and
 // concurrently yields the same energy — the property that makes it safe
-// to share one cache entry across requests. With one thread the result is
-// bitwise stable; with a work-stealing pool the reduction order varies
-// run to run, so agreement there is last-ulp (1e-12 relative).
+// to share one cache entry across requests. The reductions sum fixed
+// chunks in a fixed order, so agreement is bitwise at any thread count.
 func TestPreparedReEvalStable(t *testing.T) {
 	mol := molecule.GenerateProtein("stable", 600, 4)
 	p, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 2})
@@ -82,12 +96,11 @@ func TestPreparedReEvalStable(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("concurrent EvalEpol %d: %v", g, errs[g])
 		}
-		if rel := math.Abs(energies[g]-first.Energy) / math.Abs(first.Energy); rel > 1e-12 {
-			t.Fatalf("concurrent EvalEpol %d: %.17g vs %.17g (rel %.2g)", g, energies[g], first.Energy, rel)
+		if energies[g] != first.Energy {
+			t.Fatalf("concurrent EvalEpol %d: %.17g vs %.17g", g, energies[g], first.Energy)
 		}
 	}
 
-	// Single-threaded evaluation has a fixed reduction order: bitwise.
 	p1, err := Prepare(NewProblem(mol, surface.Default()), Options{Threads: 1})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)

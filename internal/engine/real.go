@@ -72,19 +72,61 @@ func RunReal(pr *Problem, k Kind, o Options) (RealReport, error) {
 	return rep, nil
 }
 
-// runNaiveReal evaluates the exact reference, parallelized over atoms.
+// Every parallel reduction in the real engines is cut into fixed chunks:
+// chunk boundaries depend only on the item count, each chunk sums into its
+// own accumulator, and the accumulators are added in chunk-index order.
+// Which worker ran a chunk, and when, cannot change a bit of the result,
+// so every thread count, steal schedule and GOMAXPROCS gives the same
+// energy and radii.
+const (
+	maxChunks = 64                    // upper bound on chunks per reduction
+	minChunk  = sched.DefaultMinGrain // fewest items worth a chunk of their own
+)
+
+// chunkBounds cuts [0, n) into at most maxChunks near-equal chunks of at
+// least minChunk items (one smaller chunk when n < minChunk). Chunk c is
+// [b[c], b[c+1]); n == 0 yields no chunks.
+func chunkBounds(n int) []int {
+	k := min((n+minChunk-1)/minChunk, maxChunks)
+	b := make([]int, k+1)
+	for c := 1; c <= k; c++ {
+		b[c] = c * n / k
+	}
+	return b
+}
+
+// forChunks runs fn(c) for every chunk index c in [0, k) on the pool.
+func forChunks(pool *sched.Pool, k int, fn func(c int)) sched.Stats {
+	return pool.ParallelFor(k, 1, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			fn(c)
+		}
+	})
+}
+
+// sumInOrder adds the chunk accumulators into dst in chunk-index order.
+func sumInOrder(dst []float64, acc [][]float64) {
+	for _, a := range acc {
+		for i, v := range a {
+			dst[i] += v
+		}
+	}
+}
+
+// runNaiveReal evaluates the exact reference, parallelized over fixed
+// chunks of atoms.
 func runNaiveReal(pr *Problem, o Options) RealReport {
-	pool := sched.NewPool(o.Threads)
 	n := pr.Mol.N()
 	R := gb.BornRadiiR6(pr.Mol, pr.QPts)
 	var rep RealReport
 	rep.BornRadii = R
 	rep.BornStats = core.Stats{NearPairs: int64(n) * int64(len(pr.QPts))}
-	partial := make([]float64, pool.Workers())
+	b := chunkBounds(n)
+	partial := make([]float64, len(b)-1)
 	tau := gb.Tau(gb.SolventDielectric)
-	rep.Sched = pool.ParallelFor(n, 0, func(w, lo, hi int) {
+	rep.Sched = forChunks(sched.NewPool(o.Threads), len(partial), func(c int) {
 		var sum float64
-		for i := lo; i < hi; i++ {
+		for i := b[c]; i < b[c+1]; i++ {
 			ai := &pr.Mol.Atoms[i]
 			sum += ai.Charge * ai.Charge / R[i]
 			for j := i + 1; j < n; j++ {
@@ -92,7 +134,7 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 				sum += 2 * gb.PairTerm(ai.Charge, aj.Charge, ai.Pos.Dist2(aj.Pos), R[i], R[j], o.Math)
 			}
 		}
-		partial[w] += sum
+		partial[c] = sum
 	})
 	var raw float64
 	for _, p := range partial {
@@ -103,77 +145,47 @@ func runNaiveReal(pr *Problem, o Options) RealReport {
 	return rep
 }
 
-// evalBornListParallel evaluates a Born interaction list with the pool —
-// far and near entries form one combined index space that the workers
-// chunk and steal — reducing per-worker private accumulators into
-// sNode/sAtom.
+// evalBornListParallel evaluates a Born interaction list with the pool
+// into sNode/sAtom. Far entries (which write sNode) and near entries
+// (which write sAtom) are chunked separately, so each chunk needs only the
+// one accumulator it writes. The chunk accumulators hold at most
+// maxChunks·(nodes+atoms) floats until the reduction.
 func evalBornListParallel(bs *core.BornSolver, list *core.InteractionList, pool *sched.Pool, sNode, sAtom []float64) sched.Stats {
-	nf := len(list.Far)
-	total := nf + len(list.Near)
-	if total == 0 {
-		return sched.Stats{}
-	}
-	accN := make([][]float64, pool.Workers())
-	accA := make([][]float64, pool.Workers())
-	st := pool.ParallelFor(total, 0, func(w, lo, hi int) {
-		if accN[w] == nil {
-			accN[w], accA[w] = bs.NewAccumulators()
+	fb, nb := chunkBounds(len(list.Far)), chunkBounds(len(list.Near))
+	kf := len(fb) - 1
+	acc := make([][]float64, kf+len(nb)-1)
+	st := forChunks(pool, len(acc), func(c int) {
+		if c < kf {
+			acc[c] = make([]float64, len(sNode))
+			bs.EvalBornFarRange(list, fb[c], fb[c+1], acc[c])
+			return
 		}
-		if lo < nf {
-			fhi := hi
-			if fhi > nf {
-				fhi = nf
-			}
-			bs.EvalBornFarRange(list, lo, fhi, accN[w])
-		}
-		if hi > nf {
-			nlo := lo
-			if nlo < nf {
-				nlo = nf
-			}
-			bs.EvalBornNearRange(list, nlo-nf, hi-nf, accA[w])
-		}
+		c -= kf
+		acc[kf+c] = make([]float64, len(sAtom))
+		bs.EvalBornNearRange(list, nb[c], nb[c+1], acc[kf+c])
 	})
-	for w := range accN {
-		if accN[w] == nil {
-			continue
-		}
-		for i := range sNode {
-			sNode[i] += accN[w][i]
-		}
-		for i := range sAtom {
-			sAtom[i] += accA[w][i]
-		}
-	}
+	sumInOrder(sNode, acc[:kf])
+	sumInOrder(sAtom, acc[kf:])
 	return st
 }
 
 // evalEpolListParallel evaluates an energy interaction list with the pool
-// and returns the raw ordered-pair sum.
+// and returns the raw ordered-pair sum. Near and far entries form one
+// index space [near..., far...] cut into fixed chunks.
 func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool *sched.Pool) (float64, sched.Stats) {
 	nn := len(list.Near)
-	total := nn + len(list.Far)
-	if total == 0 {
-		return 0, sched.Stats{}
-	}
-	partial := make([]float64, pool.Workers())
-	st := pool.ParallelFor(total, 0, func(w, lo, hi int) {
+	b := chunkBounds(nn + len(list.Far))
+	partial := make([]float64, len(b)-1)
+	st := forChunks(pool, len(partial), func(c int) {
+		lo, hi := b[c], b[c+1]
 		var sum float64
 		if lo < nn {
-			nhi := hi
-			if nhi > nn {
-				nhi = nn
-			}
-			sum += es.EvalEpolNearRange(list, lo, nhi)
+			sum += es.EvalEpolNearRange(list, lo, min(hi, nn))
 		}
 		if hi > nn {
-			flo := lo
-			if flo < nn {
-				flo = nn
-			}
-			sum += es.EvalEpolFarRange(list, flo-nn, hi-nn)
+			sum += es.EvalEpolFarRange(list, max(lo, nn)-nn, hi-nn)
 		}
-		partial[w] += sum
+		partial[c] = sum
 	})
 	var raw float64
 	for _, p := range partial {
@@ -183,13 +195,11 @@ func evalEpolListParallel(es *core.EpolSolver, list *core.InteractionList, pool 
 }
 
 // runCilkReal executes the dual-tree algorithm with one rank and a
-// work-stealing pool: by default the two-phase flat path (dual interaction
-// lists + SoA kernels), or the recursive dual-tree frontier when
-// UseFlatKernels is Off. It is the composition of the preprocessing half
-// (prepareCilk: trees + Born radii) and the evaluation half
-// ((*Prepared).evalEpol) — the same two halves the serving layer runs
-// separately around its prepared-problem cache, so the cold path and the
-// cached path are one code path (see prepared.go).
+// work-stealing pool over the dual interaction lists. It is the
+// composition of the preprocessing half (prepareCilk: trees + Born radii)
+// and the evaluation half ((*Prepared).evalEpol) — the same two halves the
+// serving layer runs separately around its prepared-problem cache, so the
+// cold path and the cached path are one code path (see prepared.go).
 func runCilkReal(pr *Problem, o Options) RealReport {
 	return prepareCilk(pr, o).evalEpol(o)
 }
@@ -201,7 +211,7 @@ func runCilkReal(pr *Problem, o Options) RealReport {
 func RunRank(c cluster.Comm, pr *Problem, o Options) (RealReport, error) {
 	o = o.withDefaults(OctMPICilk)
 	o.Ranks = c.Size()
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
+	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
 	buildStart := time.Now()
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
@@ -217,7 +227,7 @@ func RunRank(c cluster.Comm, pr *Problem, o Options) (RealReport, error) {
 func runDistributedReal(pr *Problem, o Options) (RealReport, error) {
 	// Step 1: octrees. Built once; immutable thereafter (in-process ranks
 	// share them, see RunReal doc).
-	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize, Precision: o.Precision}
+	bc := core.BornConfig{Eps: o.BornEps, CriterionPower: o.CriterionPower, LeafSize: o.LeafSize}
 	buildStart := time.Now()
 	bs := core.NewBornSolver(pr.Mol, pr.QPts, bc)
 	observeBuild(o.Observe, buildStart, time.Since(buildStart))
@@ -271,51 +281,13 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 		mark = now
 	}
 
-	// Step 2: approximated integrals for this rank's q-leaf segment. The
-	// flat path builds the segment's interaction list once and streams it;
-	// the recursive path fuses traversal and arithmetic per q-leaf.
-	useFlat := o.UseFlatKernels.enabled(true)
+	// Step 2: approximated integrals for this rank's q-leaf segment: the
+	// segment's interaction list is built once and streamed.
 	sNode, sAtom := bs.NewAccumulators()
 	seg := partition.ForRank(bs.NumQLeaves(), P, rank)
-	switch {
-	case useFlat:
-		list := bs.BuildBornList(seg.Lo, seg.Hi)
-		rep.BornStats = list.Stats()
-		if o.Threads == 1 {
-			bs.EvalBornList(list, sNode, sAtom)
-		} else {
-			rep.Sched = evalBornListParallel(bs, list, pool, sNode, sAtom)
-		}
-	case o.Threads == 1:
-		for l := seg.Lo; l < seg.Hi; l++ {
-			rep.BornStats.Add(bs.AccumulateQLeaf(l, sNode, sAtom))
-		}
-	default:
-		accN := make([][]float64, pool.Workers())
-		accA := make([][]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		st := pool.ParallelFor(seg.Len(), 1, func(w, lo, hi int) {
-			if accN[w] == nil {
-				accN[w], accA[w] = bs.NewAccumulators()
-			}
-			for l := lo; l < hi; l++ {
-				statsW[w].Add(bs.AccumulateQLeaf(seg.Lo+l, accN[w], accA[w]))
-			}
-		})
-		rep.Sched = st
-		for w := range accN {
-			if accN[w] == nil {
-				continue
-			}
-			for i := range sNode {
-				sNode[i] += accN[w][i]
-			}
-			for i := range sAtom {
-				sAtom[i] += accA[w][i]
-			}
-			rep.BornStats.Add(statsW[w])
-		}
-	}
+	list := bs.BuildBornList(seg.Lo, seg.Hi)
+	rep.BornStats = list.Stats()
+	rep.Sched = evalBornListParallel(bs, list, pool, sNode, sAtom)
 
 	lap(&rep.Phases.Born, po.born, "engine.born")
 
@@ -361,10 +333,10 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 		counts[r] = partition.ForRank(n, P, r).Len()
 	}
 	rFull := make([]float64, n)
-	ecfg := core.EpolConfig{Eps: o.EpolEps, Math: o.Math, Precision: o.Precision}
+	ecfg := core.EpolConfig{Eps: o.EpolEps, Math: o.Math}
 	lseg := partition.ForRank(bs.TA.NumLeaves(), P, rank)
 	var skel *core.InteractionList
-	if useTopo && useFlat {
+	if useTopo {
 		req := nb.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
 		skel = core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
 		lap(&rep.Phases.Epol, po.epol, "engine.epol")
@@ -379,45 +351,15 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	// Step 6: partial energy for this rank's leaf segment.
 	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, ecfg)
-	var raw float64
-	switch {
-	case useFlat:
-		list := skel
-		if list != nil {
-			es.CompleteFarStats(list)
-		} else {
-			list = es.BuildEpolList(lseg.Lo, lseg.Hi)
-		}
-		rep.EpolStats.Add(list.Stats())
-		if o.Threads == 1 {
-			raw, _ = es.EvalEpolList(list)
-		} else {
-			var st sched.Stats
-			raw, st = evalEpolListParallel(es, list, pool)
-			rep.Sched.Add(st)
-		}
-	case o.Threads == 1:
-		for l := lseg.Lo; l < lseg.Hi; l++ {
-			e, st := es.LeafEnergy(l)
-			raw += e
-			rep.EpolStats.Add(st)
-		}
-	default:
-		partial := make([]float64, pool.Workers())
-		statsW := make([]core.Stats, pool.Workers())
-		st := pool.ParallelFor(lseg.Len(), 1, func(w, lo, hi int) {
-			for l := lo; l < hi; l++ {
-				e, s := es.LeafEnergy(lseg.Lo + l)
-				partial[w] += e
-				statsW[w].Add(s)
-			}
-		})
-		for w := range partial {
-			raw += partial[w]
-			rep.EpolStats.Add(statsW[w])
-		}
-		rep.Sched.Add(st)
+	elist := skel
+	if elist != nil {
+		es.CompleteFarStats(elist)
+	} else {
+		elist = es.BuildEpolList(lseg.Lo, lseg.Hi)
 	}
+	rep.EpolStats = elist.Stats()
+	raw, st := evalEpolListParallel(es, elist, pool)
+	rep.Sched.Add(st)
 
 	lap(&rep.Phases.Epol, po.epol, "engine.epol")
 

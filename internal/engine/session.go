@@ -135,12 +135,12 @@ type Session struct {
 	// refresh. disp* hold per-leaf maximum point displacements against
 	// those references; refBallR* the driver-ball radius the slack budget
 	// is anchored to.
-	refPosA, epochPosA     []geom.Vec3
-	refPosQ, epochPosQ     []geom.Vec3
-	dispRefA, dispEpochA   []float64
-	dispRefQ, dispEpochQ   []float64
-	refBallRA, refBallRQ   []float64
-	nodeDispA, nodeDispQ   []float64 // epoch-bubble scratch, per node
+	refPosA, epochPosA   []geom.Vec3
+	refPosQ, epochPosQ   []geom.Vec3
+	dispRefA, dispEpochA []float64
+	dispRefQ, dispEpochQ []float64
+	refBallRA, refBallRQ []float64
+	nodeDispA, nodeDispQ []float64 // epoch-bubble scratch, per node
 
 	frame  int
 	energy float64
@@ -169,7 +169,7 @@ type SessionOptions struct {
 	// Surf is the surface sampling used once at session creation.
 	Surf surface.Options
 	// Eval supplies the engine parameters (BornEps, EpolEps, Math,
-	// Precision, LeafSize, CriterionPower). Parallel/distributed fields
+	// LeafSize, CriterionPower). Parallel/distributed fields
 	// are ignored — a session evaluates serially, its work being O(dirty).
 	Eval Options
 	// ResweepEvery forces a full value resweep every k-th frame (≤0 → 64).
@@ -283,10 +283,9 @@ func NewSession(mol *molecule.Molecule, o SessionOptions) (*Session, error) {
 	for i := range m.Atoms {
 		ss.charges[i] = m.Atoms[i].Charge
 	}
-	ss.ecfg = core.EpolConfig{Eps: eo.EpolEps, Math: eo.Math, Precision: eo.Precision}
+	ss.ecfg = core.EpolConfig{Eps: eo.EpolEps, Math: eo.Math}
 	ss.bs = core.NewBornSolver(m, qpts, core.BornConfig{
-		Eps: eo.BornEps, CriterionPower: eo.CriterionPower,
-		LeafSize: eo.LeafSize, Precision: eo.Precision,
+		Eps: eo.BornEps, CriterionPower: eo.CriterionPower, LeafSize: eo.LeafSize,
 	})
 	ta, tq := ss.bs.TA, ss.bs.TQ
 
@@ -376,9 +375,6 @@ func (ss *Session) NumAtoms() int { return len(ss.mol.Atoms) }
 // NumQPoints returns the surface quadrature point count.
 func (ss *Session) NumQPoints() int { return len(ss.qOff) }
 
-// Precision returns the storage tier the session evaluates on.
-func (ss *Session) Precision() core.Precision { return ss.eo.Precision }
-
 // Step advances the stream by one frame: apply the delta, re-derive what
 // the slack margins invalidated, recompute exactly the dirty values, and
 // return the new energy. On an out-of-range move index the session is left
@@ -399,14 +395,14 @@ func (ss *Session) Step(d FrameDelta) (FrameReport, error) {
 	for _, mv := range d.Moves {
 		ti := ss.aInv[mv.Index]
 		ss.mol.Atoms[mv.Index].Pos = mv.Pos
-		ss.bs.SetAtomPoint(ti, mv.Pos)
+		ss.bs.TA.SetPoint(ti, mv.Pos)
 		ss.es.SetPointMirrors(ti, mv.Pos)
 		if l := ss.aLeafOf[ti]; !ss.markA[l] {
 			ss.markA[l] = true
 			ss.movedA = append(ss.movedA, l)
 		}
 		for _, qi := range ss.qOwner[mv.Index] {
-			ss.bs.SetQPoint(qi, mv.Pos.Add(ss.qOff[qi]))
+			ss.bs.TQ.SetPoint(qi, mv.Pos.Add(ss.qOff[qi]))
 			if l := ss.qLeafOf[qi]; !ss.markQ[l] {
 				ss.markQ[l] = true
 				ss.movedQ = append(ss.movedQ, l)
@@ -868,7 +864,7 @@ func (ss *Session) recomputeEpolFar(vl int) {
 	vNode := ss.bs.TA.LeafIdx[vl]
 	var sum float64
 	for _, u := range ss.epolFar[vl] {
-		sum += ss.es.EpolFarTerm(u, vNode)
+		sum += ss.es.EvalEpolFarPair(u, vNode)
 	}
 	ss.farVal[vl] = sum
 }

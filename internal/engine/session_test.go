@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -80,9 +79,9 @@ func runStream(t *testing.T, mol *molecule.Molecule, o SessionOptions, frames []
 // session with ResweepEvery=k (incremental between resweeps) must match
 // the ResweepEvery=1 session (every frame fully resummed — the
 // from-scratch oracle over the same deterministically evolving structure)
-// to 1e-12 relative on every frame, on both precision tiers, across
-// displacement regimes that exercise the pure-dirty path, driver
-// re-derivation, and the forced-resweep boundary.
+// to 1e-12 relative on every frame, across displacement regimes that
+// exercise the pure-dirty path, driver re-derivation, and the
+// forced-resweep boundary.
 func TestSessionIncrementalMatchesOracle(t *testing.T) {
 	mol := molecule.GenerateProtein("stream", 700, 99)
 	base := SessionOptions{
@@ -103,78 +102,44 @@ func TestSessionIncrementalMatchesOracle(t *testing.T) {
 		{"re-derive", 7, 16, 0.06}, // compounds past half-margin: driver re-derivations
 		{"mixed", 20, 48, 0.05},    // broad dirty regions, occasional re-derivation
 	}
-	for _, prec := range []core.Precision{core.Float64, core.Float32} {
-		for _, rg := range regimes {
-			rg := rg
-			t.Run(prec.String()+"/"+rg.name, func(t *testing.T) {
-				o := base
-				o.Eval.Precision = prec
-				frames := jitterFrames(mol, 24, rg.movers, rg.cluster, rg.amp, 7)
+	for _, rg := range regimes {
+		rg := rg
+		t.Run("f64/"+rg.name, func(t *testing.T) {
+			o := base
+			frames := jitterFrames(mol, 24, rg.movers, rg.cluster, rg.amp, 7)
 
-				oracle := o
-				oracle.ResweepEvery = 1
-				incr := o
-				incr.ResweepEvery = 8 // frames 8, 16, 24 hit the forced-resweep boundary
+			oracle := o
+			oracle.ResweepEvery = 1
+			incr := o
+			incr.ResweepEvery = 8 // frames 8, 16, 24 hit the forced-resweep boundary
 
-				want, _ := runStream(t, mol, oracle, frames)
-				got, reports := runStream(t, mol, incr, frames)
-				for f := range want {
-					rel := math.Abs(got[f]-want[f]) / math.Abs(want[f])
-					if rel > 1e-12 {
-						t.Fatalf("frame %d: incremental %.17g vs oracle %.17g (rel %.3g > 1e-12)", f, got[f], want[f], rel)
-					}
+			want, _ := runStream(t, mol, oracle, frames)
+			got, reports := runStream(t, mol, incr, frames)
+			for f := range want {
+				rel := math.Abs(got[f]-want[f]) / math.Abs(want[f])
+				if rel > 1e-12 {
+					t.Fatalf("frame %d: incremental %.17g vs oracle %.17g (rel %.3g > 1e-12)", f, got[f], want[f], rel)
 				}
-				rederived, refreshed := 0, 0
-				for _, rep := range reports {
-					rederived += rep.Rederived
-					if rep.Refreshed {
-						refreshed++
-					}
+			}
+			rederived, refreshed := 0, 0
+			for _, rep := range reports {
+				rederived += rep.Rederived
+				if rep.Refreshed {
+					refreshed++
 				}
-				if rg.name == "re-derive" && rederived == 0 {
-					t.Fatalf("re-derive regime never re-derived a driver; slack breach path untested")
+			}
+			if rg.name == "re-derive" && rederived == 0 {
+				t.Fatalf("re-derive regime never re-derived a driver; slack breach path untested")
+			}
+			if rg.name == "sub-slack" && (rederived != 0 || refreshed != 0) {
+				t.Fatalf("sub-slack regime re-derived %d / refreshed %d; pure dirty path untested", rederived, refreshed)
+			}
+			for _, rep := range reports {
+				if rep.Frame%8 == 0 && !rep.Refreshed && !rep.Resweep {
+					t.Fatalf("frame %d should have taken the forced resweep", rep.Frame)
 				}
-				if rg.name == "sub-slack" && (rederived != 0 || refreshed != 0) {
-					t.Fatalf("sub-slack regime re-derived %d / refreshed %d; pure dirty path untested", rederived, refreshed)
-				}
-				for _, rep := range reports {
-					if rep.Frame%8 == 0 && !rep.Refreshed && !rep.Resweep {
-						t.Fatalf("frame %d should have taken the forced resweep", rep.Frame)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSessionFloat32TracksFloat64 pins the reduced tier against the f64
-// session on the same stream: the storage tier changes kernel arithmetic,
-// not the algorithm, so energies must agree to the tier's tolerance.
-// RadiusTolerance is disabled so the comparison isolates tier arithmetic:
-// with the gate on, push events are decided on each tier's own radii and
-// can fire on different frames, adding a (bounded, tolerance-sized) offset
-// that is not the tier's doing.
-func TestSessionFloat32TracksFloat64(t *testing.T) {
-	mol := molecule.GenerateProtein("tier", 600, 31)
-	o := SessionOptions{
-		Surf:            surface.Options{SubdivLevel: 0, Degree: 1, RadiusScale: 1.0},
-		Eval:            Options{Threads: 1},
-		ResweepEvery:    8,
-		RadiusTolerance: -1,
-	}
-	frames := jitterFrames(mol, 16, 9, 24, 0.05, 13)
-
-	o64 := o
-	o64.Eval.Precision = core.Float64
-	e64, _ := runStream(t, mol, o64, frames)
-	o32 := o
-	o32.Eval.Precision = core.Float32
-	e32, _ := runStream(t, mol, o32, frames)
-	for f := range e64 {
-		rel := math.Abs(e32[f]-e64[f]) / math.Abs(e64[f])
-		if rel > 5e-6 {
-			t.Fatalf("frame %d: f32 %.12g vs f64 %.12g (rel %.3g > 5e-6)", f, e32[f], e64[f], rel)
-		}
+			}
+		})
 	}
 }
 

@@ -32,16 +32,7 @@ type fabricWorker struct {
 // kill simulates a crash: the HTTP side and the registration link both
 // drop with no goodbye and no reconnect.
 func (fw *fabricWorker) kill() {
-	fw.agent.stop.Do(func() {
-		close(fw.agent.stopCh)
-		fw.agent.mu.Lock()
-		c := fw.agent.conn
-		fw.agent.mu.Unlock()
-		if c != nil {
-			c.Close()
-		}
-	})
-	fw.agent.wg.Wait()
+	fw.agent.halt(false)
 	fw.ts.CloseClientConnections()
 	fw.ts.Close()
 }

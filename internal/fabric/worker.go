@@ -62,12 +62,10 @@ type Worker struct {
 	cfg   WorkerConfig
 	epoch atomic.Uint64
 
-	stopCh chan struct{}
-	stop   sync.Once
-	wg     sync.WaitGroup
-
-	mu   sync.Mutex
-	conn net.Conn // current registration conn, nil between attempts
+	stopCh  chan struct{}
+	stop    sync.Once
+	goodbye bool // say Goodbye on stop; written before stopCh closes
+	wg      sync.WaitGroup
 
 	registered atomic.Bool
 }
@@ -107,20 +105,18 @@ func (w *Worker) WaitRegistered(timeout time.Duration) bool {
 	return w.registered.Load()
 }
 
-// Close sends a best-effort Goodbye (so the router unmaps the shard
-// immediately rather than waiting out the heartbeat timeout) and stops
-// the agent.
-func (w *Worker) Close() {
+// Close stops the agent and waits for it. A registered agent sends a
+// best-effort Goodbye first (so the router unmaps the shard immediately
+// rather than waiting out the heartbeat timeout); session sends it, as the
+// goroutine that owns the conn, before it closes the conn.
+func (w *Worker) Close() { w.halt(true) }
+
+// halt stops the agent and waits for it; goodbye false departs silently,
+// the way a crashed worker does.
+func (w *Worker) halt(goodbye bool) {
 	w.stop.Do(func() {
+		w.goodbye = goodbye
 		close(w.stopCh)
-		w.mu.Lock()
-		c := w.conn
-		w.mu.Unlock()
-		if c != nil {
-			c.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-			_ = writeMessage(c, &Message{Type: MsgGoodbye, WorkerID: w.cfg.WorkerID})
-			c.Close()
-		}
 	})
 	w.wg.Wait()
 }
@@ -170,24 +166,30 @@ func (w *Worker) run() {
 }
 
 // session runs one registration connection to completion: dial, register,
-// await ack, heartbeat until error or stop.
+// await ack, heartbeat until error or stop. It alone writes to and closes
+// the conn, so a Goodbye always precedes the teardown.
 func (w *Worker) session() error {
 	d := net.Dialer{Timeout: w.cfg.Timeout}
 	c, err := d.Dial("tcp", w.cfg.RouterAddr)
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	w.conn = c
-	w.mu.Unlock()
 	defer func() {
 		w.registered.Store(false)
-		w.mu.Lock()
-		if w.conn == c {
-			w.conn = nil
-		}
-		w.mu.Unlock()
 		c.Close()
+	}()
+
+	// A stop during registration cuts the ack read short. The deadline is
+	// set before the watcher starts, so the watcher's always wins.
+	c.SetReadDeadline(time.Now().Add(w.cfg.Timeout))
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-w.stopCh:
+			c.SetReadDeadline(time.Now())
+		case <-done:
+		}
 	}()
 
 	reg := &Message{Type: MsgRegister, WorkerID: w.cfg.WorkerID, Addr: w.cfg.Advertise, Epoch: w.epoch.Load()}
@@ -199,7 +201,6 @@ func (w *Worker) session() error {
 		return fmt.Errorf("register write: %w", err)
 	}
 	br := bufio.NewReaderSize(c, 1<<10)
-	c.SetReadDeadline(time.Now().Add(w.cfg.Timeout))
 	ack, err := DecodeMessage(br)
 	if err != nil {
 		return fmt.Errorf("register ack: %w", err)
@@ -216,6 +217,10 @@ func (w *Worker) session() error {
 	for {
 		select {
 		case <-w.stopCh:
+			if w.goodbye {
+				c.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+				_ = writeMessage(c, &Message{Type: MsgGoodbye, WorkerID: w.cfg.WorkerID})
+			}
 			return nil
 		case <-tick.C:
 		}

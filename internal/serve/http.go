@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"octgb/internal/core"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
@@ -85,10 +84,6 @@ type OptionsJSON struct {
 	ApproximateMath bool    `json:"approximate_math,omitempty"`
 	SubdivLevel     int     `json:"subdiv_level,omitempty"`
 	Degree          int     `json:"degree,omitempty"`
-	// Precision selects the kernel storage tier: "f64" (default) or "f32"
-	// (~1e-6 relative error, half the kernel memory). Unknown values fall back
-	// to the server default.
-	Precision string `json:"precision,omitempty"`
 }
 
 // EnergyRequest is the POST /v1/energy payload.
@@ -504,7 +499,6 @@ func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
 	e := evalOpts{
 		bornEps: s.cfg.BornEps,
 		epolEps: s.cfg.EpolEps,
-		prec:    s.cfg.Precision,
 		surf:    s.cfg.Surface,
 	}
 	if o != nil {
@@ -515,9 +509,6 @@ func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
 			e.epolEps = o.EpolEps
 		}
 		e.approx = o.ApproximateMath
-		if p, ok := core.ParsePrecision(o.Precision); ok && o.Precision != "" {
-			e.prec = p
-		}
 		if o.SubdivLevel > 0 {
 			e.surf.SubdivLevel = o.SubdivLevel
 		}
@@ -529,23 +520,20 @@ func (s *Server) resolveOpts(o *OptionsJSON) evalOpts {
 }
 
 // evalOpts are the resolved per-request evaluation parameters. The
-// Born-phase subset (bornEps + precision tier + surface options) keys the
-// prepared cache; epolEps and approx apply at evaluation time only.
+// Born-phase subset (bornEps + surface options) keys the prepared cache;
+// epolEps and approx apply at evaluation time only.
 type evalOpts struct {
 	bornEps float64
 	epolEps float64
 	approx  bool
-	prec    core.Precision
 	surf    surface.Options
 }
 
 // cacheKey identifies a prepared problem: molecule content hash plus every
-// parameter the preprocessing depends on. The precision tier is part of
-// the key — Prepare bakes the tier's storage mirrors into the solver, so
-// f64 and f32 prepareds for one molecule are distinct entries.
+// parameter the preprocessing depends on.
 func cacheKey(mol *molecule.Molecule, o evalOpts) string {
-	return fmt.Sprintf("%s|b%g|s%d|d%d|r%g|p%s",
-		mol.HashString(), o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale, o.prec)
+	return fmt.Sprintf("%s|b%g|s%d|d%d|r%g",
+		mol.HashString(), o.bornEps, o.surf.SubdivLevel, o.surf.Degree, o.surf.RadiusScale)
 }
 
 func msBetween(a, b time.Time) float64 {

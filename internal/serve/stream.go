@@ -35,11 +35,10 @@ func (s *Server) streamOptions(o evalOpts, so *StreamOptionsJSON) engine.Session
 	out := engine.SessionOptions{
 		Surf: o.surf,
 		Eval: engine.Options{
-			Threads:   s.cfg.Threads,
-			BornEps:   o.bornEps,
-			EpolEps:   o.epolEps,
-			Precision: o.prec,
-			Observe:   s.cfg.Observe,
+			Threads: s.cfg.Threads,
+			BornEps: o.bornEps,
+			EpolEps: o.epolEps,
+			Observe: s.cfg.Observe,
 		},
 	}
 	if o.approx {
