@@ -96,8 +96,8 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 ## bench-kernels: regenerate the committed BENCH_kernels.json micro-benchmark
-## report (flat vs recursive kernels, pooled evaluation, Chase–Lev vs mutex
-## deque, ParallelFor).
+## report (flat vs recursive kernels, pooled evaluation, ParallelFor
+## dispatch).
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 
@@ -110,7 +110,7 @@ bench-kernels-check:
 	$(GO) run ./cmd/benchkernels -check -o BENCH_kernels.json
 
 ## bench-comm: regenerate the committed BENCH_comm.json collective-layer
-## report (topo vs star algorithms, both transports, modeled cluster costs).
+## report (in-process, TCP mesh and TCP star timings, modeled cluster costs).
 bench-comm:
 	$(GO) run ./cmd/benchcomm -o BENCH_comm.json
 

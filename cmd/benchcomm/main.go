@@ -1,7 +1,7 @@
 // Command benchcomm measures the cluster layer's collectives: the
 // topology-aware algorithms (recursive-doubling allreduce, ring
-// allgatherv, binomial bcast — cluster/collectives.go) against the
-// star/monitor reference, over both transports.
+// allgatherv, binomial bcast — cluster/collectives.go) in process and over
+// the TCP mesh, against the TCP root star the mesh falls back to.
 //
 // Two sections are reported, following the repository's modeling doctrine
 // (simtime: real algorithms, modeled clock):
@@ -13,9 +13,7 @@
 //   - modeled: the α–β cost (simtime.AlgoCollectiveCost, Lonestar4
 //     machine) of each algorithm at cluster scale, where the log-depth
 //     structure pays: allreduce/allgatherv throughput vs. the star at
-//     P ≥ 8, and the end-to-end OCT_MPI run with the engines' overlap
-//     (non-blocking allgatherv hidden behind list construction) vs. the
-//     strictly sequential baseline.
+//     P ≥ 8.
 //
 // Results are printed and written as JSON (default BENCH_comm.json, the
 // file committed at the repository root).
@@ -23,7 +21,7 @@
 // Usage:
 //
 //	benchcomm                    # writes BENCH_comm.json
-//	benchcomm -n 3000 -o out.json
+//	benchcomm -o out.json
 package main
 
 import (
@@ -37,15 +35,12 @@ import (
 	"time"
 
 	"octgb/internal/cluster"
-	"octgb/internal/engine"
-	"octgb/internal/molecule"
 	"octgb/internal/simtime"
-	"octgb/internal/surface"
 )
 
 type measured struct {
 	Op        string  `json:"op"`
-	Transport string  `json:"transport"` // local-star, local-topo, tcp-star, tcp-mesh
+	Transport string  `json:"transport"` // local-topo, tcp-star, tcp-mesh
 	P         int     `json:"p"`
 	Words     int     `json:"words"`
 	NsPerOp   float64 `json:"ns_per_op"`
@@ -60,25 +55,13 @@ type modeled struct {
 	SpeedupVsStar float64 `json:"speedup_vs_star"`
 }
 
-type endToEnd struct {
-	P          int     `json:"p"`
-	StarSec    float64 `json:"star_sec"`
-	TopoSec    float64 `json:"topo_sec"`
-	CommStar   float64 `json:"comm_star_sec"`
-	CommTopo   float64 `json:"comm_topo_sec"`
-	Speedup    float64 `json:"speedup"`
-	OverlapWin bool    `json:"overlap_win"`
-}
-
 type report struct {
-	GoVersion       string             `json:"go_version"`
-	GOMAXPROCS      int                `json:"gomaxprocs"`
-	Machine         string             `json:"modeled_machine"`
-	NAtoms          int                `json:"n_atoms_end_to_end"`
-	Measured        []measured         `json:"measured"`
-	ModeledCluster  []modeled          `json:"modeled_cluster"`
-	ModeledEndToEnd []endToEnd         `json:"modeled_end_to_end"`
-	Derived         map[string]float64 `json:"derived"`
+	GoVersion      string             `json:"go_version"`
+	GOMAXPROCS     int                `json:"gomaxprocs"`
+	Machine        string             `json:"modeled_machine"`
+	Measured       []measured         `json:"measured"`
+	ModeledCluster []modeled          `json:"modeled_cluster"`
+	Derived        map[string]float64 `json:"derived"`
 }
 
 // runOp executes one collective once on a communicator.
@@ -117,9 +100,9 @@ func opArgs(op string, rank, p, words int) (buf, seg, out []float64, counts []in
 }
 
 // measureLocal times one op on the in-process transport.
-func measureLocal(algo cluster.Algorithm, op string, p, words, iters int) (float64, error) {
+func measureLocal(op string, p, words, iters int) (float64, error) {
 	var elapsed time.Duration
-	err := cluster.RunLocalAlgo(p, nil, algo, func(c cluster.Comm) error {
+	err := cluster.RunLocal(p, nil, func(c cluster.Comm) error {
 		buf, seg, out, counts := opArgs(op, c.Rank(), p, words)
 		if err := runOp(c, op, buf, seg, out, counts); err != nil { // warm-up
 			return err
@@ -208,14 +191,12 @@ func measureTCP(mesh bool, op string, p, words, iters int) (float64, error) {
 }
 
 func main() {
-	n := flag.Int("n", 3000, "atom count for the modeled end-to-end runs")
 	outPath := flag.String("o", "BENCH_comm.json", "output JSON path")
 	flag.Parse()
 
 	rep := report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NAtoms:     *n,
 		Derived:    map[string]float64{},
 	}
 	mach := simtime.Lonestar4()
@@ -230,18 +211,13 @@ func main() {
 				if words >= 131072 {
 					iters = 8
 				}
-				for _, tr := range []struct {
-					name string
-					algo cluster.Algorithm
-				}{{"local-star", cluster.Star}, {"local-topo", cluster.Topo}} {
-					ns, err := measureLocal(tr.algo, op, p, words, iters)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "benchcomm:", err)
-						os.Exit(1)
-					}
-					rep.Measured = append(rep.Measured, measured{op, tr.name, p, words, ns})
-					fmt.Printf("  %-10s %-10s P=%d words=%-7d %12.0f ns/op\n", op, tr.name, p, words, ns)
+				ns, err := measureLocal(op, p, words, iters)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "benchcomm:", err)
+					os.Exit(1)
 				}
+				rep.Measured = append(rep.Measured, measured{op, "local-topo", p, words, ns})
+				fmt.Printf("  %-10s %-10s P=%d words=%-7d %12.0f ns/op\n", op, "local-topo", p, words, ns)
 			}
 		}
 	}
@@ -287,27 +263,6 @@ func main() {
 	rep.Derived["allreduce_p8_64kib_speedup"] = key("allreduce", 8, 8192)
 	rep.Derived["allgatherv_p8_64kib_speedup"] = key("allgatherv", 8, 8192)
 
-	// ---- modeled: end-to-end OCT_MPI with overlap -----------------------
-	fmt.Println("\nmodeled end-to-end OCT_MPI (topo collectives + overlap vs star):")
-	mol := molecule.GenerateProtein("benchcomm", *n, 5)
-	pr := engine.NewProblem(mol, surface.Default())
-	sm := engine.BuildSimModel(pr, engine.OctMPI, engine.Options{}, simtime.DefaultOpCosts())
-	for _, p := range []int{4, 8, 16, 32} {
-		sm.Opts.TopoCollectives = engine.Off
-		star := sm.Time(p, 1, mach, -1)
-		sm.Opts.TopoCollectives = engine.On
-		topo := sm.Time(p, 1, mach, -1)
-		sp := star.TotalSec / topo.TotalSec
-		rep.ModeledEndToEnd = append(rep.ModeledEndToEnd, endToEnd{
-			P: p, StarSec: star.TotalSec, TopoSec: topo.TotalSec,
-			CommStar: star.CommSec, CommTopo: topo.CommSec,
-			Speedup: sp, OverlapWin: topo.TotalSec < star.TotalSec,
-		})
-		fmt.Printf("  P=%-3d star %.4gs (comm %.3gs) topo %.4gs (comm %.3gs) %.2fx\n",
-			p, star.TotalSec, star.CommSec, topo.TotalSec, topo.CommSec, sp)
-	}
-	rep.Derived["oct_mpi_p4_speedup"] = rep.ModeledEndToEnd[0].Speedup
-
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcomm:", err)
@@ -320,6 +275,5 @@ func main() {
 	}
 	fmt.Printf("\nallreduce  P=8 64KiB modeled speedup: %.1fx\n", rep.Derived["allreduce_p8_64kib_speedup"])
 	fmt.Printf("allgatherv P=8 64KiB modeled speedup: %.1fx\n", rep.Derived["allgatherv_p8_64kib_speedup"])
-	fmt.Printf("OCT_MPI    P=4 end-to-end speedup:    %.2fx\n", rep.Derived["oct_mpi_p4_speedup"])
 	fmt.Printf("wrote %s\n", *outPath)
 }

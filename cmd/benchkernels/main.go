@@ -2,9 +2,8 @@
 // two-phase treecode: the Born and energy evaluation phases (recursive
 // fused traversal vs flat interaction-list kernels, plus the list rebuild
 // cost amortized by ε-sweeps and docking poses), the same flat kernels
-// under the work-stealing pool at GOMAXPROCS workers, the Chase–Lev
-// work-stealing deque primitives against the mutex-deque baseline, and
-// ParallelFor dispatch through both pools.
+// under the work-stealing pool at GOMAXPROCS workers, and ParallelFor
+// dispatch through the work-stealing pool.
 //
 // Results are printed and written as JSON (default BENCH_kernels.json,
 // the file committed at the repository root).
@@ -205,48 +204,7 @@ func main() {
 	})
 	rep.Derived["epol_eval_speedup"] = recNS / flatNS
 
-	// ---- scheduler primitives -------------------------------------------
-	task := sched.Task(func(int) {})
-	for _, impl := range []struct {
-		name  string
-		mutex bool
-	}{{"chaselev", false}, {"mutex", true}} {
-		clNS := run("deque/push-pop/"+impl.name, func(b *testing.B) {
-			d := sched.NewDequeBench(impl.mutex)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Push(&task)
-				d.Pop()
-			}
-		})
-		if impl.mutex {
-			rep.Derived["deque_push_pop_speedup"] = clNS / rep.Derived["deque_push_pop_chaselev_ns"]
-		} else {
-			rep.Derived["deque_push_pop_chaselev_ns"] = clNS
-		}
-		stNS := run("deque/steal/"+impl.name, func(b *testing.B) {
-			d := sched.NewDequeBench(impl.mutex)
-			for i := 0; i < 1024; i++ {
-				d.Push(&task)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := d.Steal(); !ok {
-					b.StopTimer()
-					for j := 0; j < 1024; j++ {
-						d.Push(&task)
-					}
-					b.StartTimer()
-				}
-			}
-		})
-		if impl.mutex {
-			rep.Derived["deque_steal_speedup"] = stNS / rep.Derived["deque_steal_chaselev_ns"]
-		} else {
-			rep.Derived["deque_steal_chaselev_ns"] = stNS
-		}
-	}
-
+	// ---- scheduler dispatch ---------------------------------------------
 	work := func(w, lo, hi int) {
 		s := 0.0
 		for i := lo; i < hi; i++ {
@@ -254,20 +212,15 @@ func main() {
 		}
 		_ = s
 	}
-	for _, impl := range []struct {
-		name string
-		mk   func(p int) *sched.Pool
-	}{{"chaselev", sched.NewPool}, {"mutex", sched.NewMutexPool}} {
-		for _, p := range []int{1, 2, 4, 8} {
-			ns := run(fmt.Sprintf("parallelfor/%s/p=%d", impl.name, p), func(b *testing.B) {
-				pool := impl.mk(p)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pool.ParallelFor(1<<14, 8, work)
-				}
-			})
-			rep.Derived[fmt.Sprintf("parallelfor_%s_p%d_ns", impl.name, p)] = ns
-		}
+	for _, p := range []int{1, 2, 4, 8} {
+		ns := run(fmt.Sprintf("parallelfor/chaselev/p=%d", p), func(b *testing.B) {
+			pool := sched.NewPool(p)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.ParallelFor(1<<14, 8, work)
+			}
+		})
+		rep.Derived[fmt.Sprintf("parallelfor_chaselev_p%d_ns", p)] = ns
 	}
 
 	if *check {
@@ -292,7 +245,7 @@ func main() {
 // checkAgainst compares a fresh run with the committed baseline and
 // returns the process exit code: 1 if any treecode evaluation kernel
 // regressed by more than tol on ns/op or gained an allocation, else 0.
-// Scheduler microbenches (deque/*, parallelfor/*) and the list rebuilds
+// Scheduler microbenches (parallelfor/*) and the list rebuilds
 // are reported but not gated — the sub-100ns and short-bench scales are
 // far noisier than the evaluation kernels the gate exists to protect.
 // Run on a quiet machine: the gate measures the CPU, and a loaded box

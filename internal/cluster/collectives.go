@@ -10,7 +10,7 @@ import (
 
 // This file implements the topology-aware collective algorithms on top of
 // the tagged pairwise layer (pairwise below) — the library's answer to the
-// O(P·m) root bottleneck of the star transports. The algorithms are the
+// O(P·m) root bottleneck of the TCP star. The algorithms are the
 // classical log-depth ones the paper's §IV-C cost model assumes
 // (t_s·log P + t_w·m, Grama et al. Table 4.1, and the log-depth reductions
 // behind the boundary-integral treecode scaling of Geng, arXiv:1301.5914):
@@ -39,24 +39,6 @@ import (
 // chunk streams can never mix across operations — which is what makes the
 // non-blocking forms safe to overlap with each other and with p2p traffic.
 
-// Algorithm selects the collective implementation of a transport.
-type Algorithm int
-
-const (
-	// Topo selects the topology-aware algorithms of this file (default).
-	Topo Algorithm = iota
-	// Star selects the root-star / central-monitor reference
-	// implementations — the correctness oracle and fallback.
-	Star
-)
-
-func (a Algorithm) String() string {
-	if a == Star {
-		return "star"
-	}
-	return "topo"
-}
-
 // collChunkWords is the pipelining chunk: 8192 float64 words = 64 KiB per
 // frame. Every payload is sent as max(1, ⌈n/collChunkWords⌉) frames; the
 // guaranteed ≥1 frame keeps zero-length stages (barrier tokens, empty
@@ -69,19 +51,6 @@ const collChunkWords = 8192
 // called once.
 type Request interface {
 	Wait() error
-}
-
-// NonBlocking is the optional asynchronous extension of Comm: initiation
-// returns immediately and the operation proceeds in the background, which
-// lets callers overlap communication with independent compute (the
-// engines overlap the Born-radius Allgatherv with energy-phase list
-// construction). All ranks must initiate collectives — blocking or not —
-// in the same order. Implementations without genuine asynchrony (the star
-// transports) complete the operation synchronously at initiation and
-// return an already-done Request, which is correct but overlap-free.
-type NonBlocking interface {
-	IAllreduceSum(buf []float64) Request
-	IAllgatherv(segment []float64, counts []int, out []float64) Request
 }
 
 // request is the Request implementation shared by the async collectives.
@@ -291,7 +260,10 @@ func (c *coll) IAllreduceSum(buf []float64) Request {
 
 // checkGatherArgs validates the Allgatherv contract shared by every
 // implementation and returns the per-rank output offsets.
-func checkGatherArgs(rank int, segment []float64, counts []int, out []float64) ([]int, error) {
+func checkGatherArgs(rank, size int, segment []float64, counts []int, out []float64) ([]int, error) {
+	if len(counts) != size {
+		return nil, fmt.Errorf("cluster: Allgatherv counts length %d != size %d", len(counts), size)
+	}
 	offsets := make([]int, len(counts))
 	total := 0
 	for r, n := range counts {
@@ -309,7 +281,7 @@ func checkGatherArgs(rank int, segment []float64, counts []int, out []float64) (
 
 func (c *coll) allgathervTag(tag int, segment []float64, counts []int, out []float64) error {
 	size, rank := c.pw.Size(), c.pw.Rank()
-	offsets, err := checkGatherArgs(rank, segment, counts, out)
+	offsets, err := checkGatherArgs(rank, size, segment, counts, out)
 	if err != nil {
 		return err
 	}
@@ -360,13 +332,21 @@ func (c *coll) IAllgatherv(segment []float64, counts []int, out []float64) Reque
 // Bcast: binomial tree
 // ---------------------------------------------------------------------------
 
+// checkBcastRoot validates a Bcast root against the group size.
+func checkBcastRoot(root, size int) error {
+	if root < 0 || root >= size {
+		return fmt.Errorf("cluster: bcast root %d out of range", root)
+	}
+	return nil
+}
+
 func (c *coll) bcastTag(tag int, buf []float64, root int) error {
 	size, rank := c.pw.Size(), c.pw.Rank()
 	if size == 1 {
 		return nil
 	}
-	if root < 0 || root >= size {
-		return fmt.Errorf("cluster: bcast root %d out of range", root)
+	if err := checkBcastRoot(root, size); err != nil {
+		return err
 	}
 	vrank := (rank - root + size) % size
 	mask := 1

@@ -6,15 +6,17 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"octgb/internal/testutil"
 )
 
-// runMeshGroup runs fn on every rank of a TCP mesh group over loopback
-// (root inline, workers as goroutines) and tears the mesh down afterwards.
-func runMeshGroup(p int, fn func(c Comm) error) error {
+// runTCPGroup runs fn on every rank of a TCP group over loopback (root
+// inline, workers as goroutines; the star unless opts has WithMesh) and
+// tears the group down afterwards.
+func runTCPGroup(p int, fn func(c Comm) error, opts ...TCPOption) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -29,7 +31,7 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := DialTCP(addr, r, p, WithMesh())
+			c, err := DialTCP(addr, r, p, opts...)
 			if err != nil {
 				errs[r] = err
 				return
@@ -38,12 +40,16 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 			errs[r] = fn(c)
 		}(r)
 	}
-	root, err := NewTCPRoot(ln, p, WithMesh())
+	root, err := NewTCPRoot(ln, p, opts...)
 	if err != nil {
 		return err
 	}
 	comms[0] = root
-	errs[0] = fn(root)
+	if errs[0] = fn(root); errs[0] != nil {
+		// A root that fails mid-collective leaves its peers blocked on
+		// it; closing it unblocks them.
+		root.(io.Closer).Close()
+	}
 	wg.Wait()
 	for _, c := range comms {
 		if cl, ok := c.(io.Closer); ok {
@@ -58,25 +64,65 @@ func runMeshGroup(p int, fn func(c Comm) error) error {
 	return nil
 }
 
-// collectiveWorkload exercises every collective with deterministic
-// pseudo-random inputs (seeded per (p, rank), so every transport/algorithm
-// sees identical data) across a size sweep that covers empty payloads,
-// sub-chunk payloads and multi-chunk pipelined payloads, and returns the
-// concatenated per-rank outputs.
+// workloadSizes is the payload sweep of collectiveWorkload: empty,
+// sub-chunk and multi-chunk pipelined payloads.
+var workloadSizes = []int{0, 1, 5, 1000, 2*collChunkWords + 77}
+
+// workloadCounts is the Allgatherv segment layout of sweep step si.
+func workloadCounts(p, si int) []int {
+	counts := make([]int, p)
+	for r := range counts {
+		counts[r] = (r*13 + si*7 + 3) % 29
+	}
+	return counts
+}
+
+// workloadRoot is the Bcast root of sweep step si.
+func workloadRoot(p, si int) int { return (si + p - 1) % p }
+
+// rankInputs is one rank's collective inputs for every sweep step.
+type rankInputs struct {
+	vals, segs, bcast [][]float64
+}
+
+// workloadInputs draws rank's deterministic pseudo-random inputs, seeded
+// per (p, rank) so every transport and the sequential reference see
+// identical data.
+func workloadInputs(p, rank int) rankInputs {
+	rng := rand.New(rand.NewSource(int64(1000*p + rank)))
+	var in rankInputs
+	for si, n := range workloadSizes {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		seg := make([]float64, workloadCounts(p, si)[rank])
+		for i := range seg {
+			seg[i] = rng.Float64()
+		}
+		bb := make([]float64, 1+si*200)
+		for i := range bb {
+			bb[i] = rng.Float64() + float64(rank)
+		}
+		in.vals = append(in.vals, v)
+		in.segs = append(in.segs, seg)
+		in.bcast = append(in.bcast, bb)
+	}
+	return in
+}
+
+// collectiveWorkload exercises every collective on workloadInputs across
+// the size sweep and returns the concatenated per-rank outputs.
 func collectiveWorkload(p int, run func(fn func(c Comm) error) error) ([][]float64, error) {
 	results := make([][]float64, p)
 	var mu sync.Mutex
 	err := run(func(c Comm) error {
 		rank := c.Rank()
-		rng := rand.New(rand.NewSource(int64(1000*p + rank)))
+		in := workloadInputs(p, rank)
 		var got []float64
-		sizes := []int{0, 1, 5, 1000, 2*collChunkWords + 77}
-		for si, n := range sizes {
-			sum := make([]float64, n)
-			for i := range sum {
-				sum[i] = rng.Float64()*2 - 1
-			}
-			mx := append([]float64(nil), sum...)
+		for si := range workloadSizes {
+			sum := append([]float64(nil), in.vals[si]...)
+			mx := append([]float64(nil), in.vals[si]...)
 			if err := c.AllreduceSum(sum); err != nil {
 				return err
 			}
@@ -86,27 +132,19 @@ func collectiveWorkload(p int, run func(fn func(c Comm) error) error) ([][]float
 			got = append(got, sum...)
 			got = append(got, mx...)
 
-			counts := make([]int, p)
+			counts := workloadCounts(p, si)
 			total := 0
-			for r := range counts {
-				counts[r] = (r*13 + si*7 + 3) % 29
-				total += counts[r]
-			}
-			seg := make([]float64, counts[rank])
-			for i := range seg {
-				seg[i] = rng.Float64()
+			for _, n := range counts {
+				total += n
 			}
 			out := make([]float64, total)
-			if err := c.Allgatherv(seg, counts, out); err != nil {
+			if err := c.Allgatherv(in.segs[si], counts, out); err != nil {
 				return err
 			}
 			got = append(got, out...)
 
-			bb := make([]float64, 1+si*200)
-			for i := range bb {
-				bb[i] = rng.Float64() + float64(rank)
-			}
-			if err := c.Bcast(bb, (si+p-1)%p); err != nil {
+			bb := append([]float64(nil), in.bcast[si]...)
+			if err := c.Bcast(bb, workloadRoot(p, si)); err != nil {
 				return err
 			}
 			got = append(got, bb...)
@@ -123,115 +161,134 @@ func collectiveWorkload(p int, run func(fn func(c Comm) error) error) ([][]float
 	return results, err
 }
 
-func compareToReference(t *testing.T, label string, ref, got [][]float64) {
-	t.Helper()
-	for r := range ref {
-		if len(ref[r]) != len(got[r]) {
-			t.Fatalf("%s: rank %d output length %d, reference %d", label, r, len(got[r]), len(ref[r]))
+// sequentialReference computes, in one goroutine, the output every rank
+// of collectiveWorkload must produce: the rank-order sum, the element-wise
+// max, the concatenation by counts and the root's broadcast buffer.
+func sequentialReference(p int) []float64 {
+	ins := make([]rankInputs, p)
+	for r := range ins {
+		ins[r] = workloadInputs(p, r)
+	}
+	var want []float64
+	for si, n := range workloadSizes {
+		sum := make([]float64, n)
+		mx := append([]float64(nil), ins[0].vals[si]...)
+		for r := range ins {
+			for i, v := range ins[r].vals[si] {
+				sum[i] += v
+				mx[i] = math.Max(mx[i], v)
+			}
 		}
-		for i := range ref[r] {
-			a, b := ref[r][i], got[r][i]
+		want = append(want, sum...)
+		want = append(want, mx...)
+		for r := range ins {
+			want = append(want, ins[r].segs[si]...)
+		}
+		want = append(want, ins[workloadRoot(p, si)].bcast[si]...)
+	}
+	return want
+}
+
+// compareToReference checks every rank's output against the sequential
+// reference at 1e-12 and against rank 0's output bitwise: the reductions
+// must leave identical buffers on every rank.
+func compareToReference(t *testing.T, label string, want []float64, got [][]float64) {
+	t.Helper()
+	for r := range got {
+		if len(got[r]) != len(want) {
+			t.Fatalf("%s: rank %d output length %d, reference %d", label, r, len(got[r]), len(want))
+		}
+		for i, a := range want {
+			b := got[r][i]
 			if math.Abs(a-b) > 1e-12*(1+math.Abs(a)) {
 				t.Fatalf("%s: rank %d word %d: got %v, reference %v", label, r, i, b, a)
+			}
+			if math.Float64bits(b) != math.Float64bits(got[0][i]) {
+				t.Fatalf("%s: rank %d word %d: %v differs bitwise from rank 0's %v", label, r, i, b, got[0][i])
 			}
 		}
 	}
 }
 
-// TestTopoCollectivesMatchStarReference is the core property test: every
-// collective on the in-process transport, topology-aware algorithms vs.
-// the monitor-based star oracle, across power-of-two and non-power-of-two
-// rank counts.
-func TestTopoCollectivesMatchStarReference(t *testing.T) {
+// TestLocalCollectivesMatchSequentialReference is the core property test:
+// every collective on the in-process transport against the sequential
+// reference, across power-of-two and non-power-of-two rank counts.
+func TestLocalCollectivesMatchSequentialReference(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Star, fn)
+		got, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
+			return RunLocal(p, nil, fn)
 		})
 		if err != nil {
-			t.Fatalf("p=%d star: %v", p, err)
+			t.Fatalf("p=%d local: %v", p, err)
 		}
-		topo, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Topo, fn)
-		})
-		if err != nil {
-			t.Fatalf("p=%d topo: %v", p, err)
-		}
-		compareToReference(t, fmt.Sprintf("local topo p=%d", p), ref, topo)
+		compareToReference(t, fmt.Sprintf("local p=%d", p), sequentialReference(p), got)
 	}
 }
 
-// TestMeshCollectivesMatchStarReference runs the same workload over the
-// TCP worker-to-worker mesh and cross-checks against the in-process star
-// oracle.
-func TestMeshCollectivesMatchStarReference(t *testing.T) {
+// TestMeshCollectivesMatchSequentialReference runs the same workload over
+// the TCP worker-to-worker mesh.
+func TestMeshCollectivesMatchSequentialReference(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return RunLocalAlgo(p, nil, Star, fn)
-		})
-		if err != nil {
-			t.Fatalf("p=%d star: %v", p, err)
-		}
 		mesh, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-			return runMeshGroup(p, fn)
+			return runTCPGroup(p, fn, WithMesh())
 		})
 		if err != nil {
 			t.Fatalf("p=%d mesh: %v", p, err)
 		}
-		compareToReference(t, fmt.Sprintf("tcp mesh p=%d", p), ref, mesh)
+		compareToReference(t, fmt.Sprintf("tcp mesh p=%d", p), sequentialReference(p), mesh)
 	}
 }
 
-// TestTCPStarCollectivesStillMatch keeps the coalesced-write star path
-// honest against the in-process star oracle.
+// TestTCPStarCollectivesStillMatch keeps the coalesced-write star path —
+// the mesh fallback — honest against the sequential reference.
 func TestTCPStarCollectivesStillMatch(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	p := 5
-	ref, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-		return RunLocalAlgo(p, nil, Star, fn)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	star, err := collectiveWorkload(p, func(fn func(c Comm) error) error {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		addr := ln.Addr().String()
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for r := 1; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				c, err := DialTCP(addr, r, p)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				errs[r] = fn(c)
-			}(r)
-		}
-		root, err := NewTCPRoot(ln, p)
-		if err != nil {
-			return err
-		}
-		errs[0] = fn(root)
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				return fmt.Errorf("rank %d: %w", r, err)
-			}
-		}
-		return nil
+		return runTCPGroup(p, fn)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareToReference(t, "tcp star", ref, star)
+	compareToReference(t, "tcp star", sequentialReference(p), star)
+}
+
+// TestTCPStarRootRejectsMalformedPayloads: a worker whose payload length
+// disagrees with the root's, or a Bcast root out of range, fails the
+// collective with an error naming the rank and both lengths instead of
+// panicking the root.
+func TestTCPStarRootRejectsMalformedPayloads(t *testing.T) {
+	defer testutil.Watchdog(t, 0)()
+	cases := []struct {
+		name    string
+		fn      func(c Comm) error
+		rootErr string
+	}{
+		{"allreduce-sum", func(c Comm) error {
+			return c.AllreduceSum(make([]float64, 2+c.Rank()))
+		}, "rank 1 sent 3 words for allreduce, want 2"},
+		{"allreduce-max", func(c Comm) error {
+			return c.AllreduceMax(make([]float64, 3-c.Rank()))
+		}, "rank 1 sent 2 words for allreducemax, want 3"},
+		{"allgatherv", func(c Comm) error {
+			// Rank 1 believes its segment holds 3 words; the root expects 2.
+			counts := []int{1, 2 + c.Rank()}
+			return c.Allgatherv(make([]float64, counts[c.Rank()]), counts, make([]float64, counts[0]+counts[1]))
+		}, "rank 1 sent 3 words for allgatherv, want 2"},
+		{"bcast-root", func(c Comm) error {
+			return c.Bcast(make([]float64, 2), 5)
+		}, "bcast root 5 out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runTCPGroup(2, tc.fn)
+			if err == nil || !strings.Contains(err.Error(), tc.rootErr) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.rootErr)
+			}
+		})
+	}
 }
 
 // overlapStress interleaves non-blocking collectives with p2p ring traffic
@@ -241,9 +298,8 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 	return func(c Comm) error {
 		rank := c.Rank()
 		msgr, okM := c.(Messenger)
-		nb, okNB := c.(NonBlocking)
-		if !okM || !okNB {
-			return fmt.Errorf("rank %d: transport lacks Messenger/NonBlocking", rank)
+		if !okM {
+			return fmt.Errorf("rank %d: transport lacks Messenger", rank)
 		}
 		counts := make([]int, p)
 		total := 0
@@ -261,8 +317,8 @@ func overlapStress(p, rounds, n int) func(c Comm) error {
 				seg[i] = float64(100*rank + i)
 			}
 			out := make([]float64, total)
-			r1 := nb.IAllreduceSum(sum)
-			r2 := nb.IAllgatherv(seg, counts, out)
+			r1 := c.IAllreduceSum(sum)
+			r2 := c.IAllgatherv(seg, counts, out)
 
 			// p2p traffic racing the in-flight collectives.
 			payload := []float64{float64(rank), float64(round)}
@@ -322,7 +378,7 @@ func TestNonBlockingOverlapStressLocal(t *testing.T) {
 func TestNonBlockingOverlapStressMesh(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	p := 4
-	if err := runMeshGroup(p, overlapStress(p, 10, 64)); err != nil {
+	if err := runTCPGroup(p, overlapStress(p, 10, 64), WithMesh()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -332,7 +388,7 @@ func TestNonBlockingOverlapStressMesh(t *testing.T) {
 func TestMeshMessengerOrdering(t *testing.T) {
 	defer testutil.Watchdog(t, 0)()
 	p := 3
-	err := runMeshGroup(p, func(c Comm) error {
+	err := runTCPGroup(p, func(c Comm) error {
 		msgr := c.(Messenger)
 		rank := c.Rank()
 		for k := 0; k < 20; k++ {
@@ -352,7 +408,7 @@ func TestMeshMessengerOrdering(t *testing.T) {
 			ReleaseBuffer(got)
 		}
 		return c.Barrier()
-	})
+	}, WithMesh())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +457,5 @@ func TestMeshCloseUnblocksPeers(t *testing.T) {
 	}
 	if rootErr == nil && errs[1] == nil {
 		t.Fatal("no rank observed the dead peer")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if Topo.String() != "topo" || Star.String() != "star" {
-		t.Fatalf("Algorithm strings: %v %v", Topo, Star)
 	}
 }

@@ -33,11 +33,22 @@ type Comm interface {
 	Allgatherv(segment []float64, counts []int, out []float64) error
 	// Bcast replaces buf on every rank with root's buf.
 	Bcast(buf []float64, root int) error
+
+	// IAllreduceSum and IAllgatherv are the non-blocking forms: initiation
+	// returns immediately and the operation proceeds in the background,
+	// which lets callers overlap communication with independent compute
+	// (the engines overlap the Born-radius Allgatherv with energy-phase
+	// list construction). All ranks must initiate collectives — blocking
+	// or not — in the same order. The TCP star cannot overlap: it
+	// completes the operation at initiation and returns an already-done
+	// Request, which is correct but overlap-free.
+	IAllreduceSum(buf []float64) Request
+	IAllgatherv(segment []float64, counts []int, out []float64) Request
 }
 
 // CollectiveHook observes completed collectives. kind is one of "barrier",
 // "allreduce", "allgatherv", "bcast"; words is the per-collective payload
-// in float64 words. Called once per collective (not per rank), at the
-// rendezvous point where all ranks are blocked — the natural place to
-// synchronize virtual clocks.
+// in float64 words. Called once per collective (not per rank), when the
+// collective completes on rank 0 — the natural place to synchronize
+// virtual clocks.
 type CollectiveHook func(kind string, words int)

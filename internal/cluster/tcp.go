@@ -25,16 +25,19 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 // available:
 //
 //   - Star (default): rank 0 is the root of a star; workers send their
-//     collective contributions to the root, the root combines them and
-//     sends the result back. O(P·m) at the root, but simple, correct, and
-//     the oracle the mesh is tested against.
+//     collective contributions to the root, the root checks their
+//     lengths, combines them and sends the result back. O(P·m) at the
+//     root and overlap-free (the non-blocking forms complete at
+//     initiation). It is what cmd/epolnode -mesh=false runs and the
+//     automatic fallback when the mesh cannot be built.
 //   - Mesh (WithMesh, both sides): during the handshake every worker
 //     reports a private listen port, the root broadcasts the address
 //     table, and the workers connect pairwise. Collectives then run the
 //     topology-aware algorithms of collectives.go over the mesh
 //     (recursive doubling / ring / binomial / dissemination), point-to-point
-//     messaging (Messenger) and the non-blocking collectives (NonBlocking)
-//     become available, and the root is no longer a bandwidth bottleneck.
+//     messaging (Messenger) becomes available, the non-blocking
+//     collectives genuinely overlap, and the root is no longer a
+//     bandwidth bottleneck.
 //
 // Failure hardening (see failure.go for the model): every frame carries a
 // CRC32C, payload sizes are bounded so arbitrary bytes cannot force huge
@@ -688,7 +691,7 @@ func (rc *rankConn) readBlob() ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Star transport (fallback and correctness oracle)
+// Star transport (the mesh fallback and -mesh=false)
 // ---------------------------------------------------------------------------
 
 // tcpRoot is rank 0 of the star.
@@ -736,26 +739,40 @@ func (c *tcpRoot) AliveRanks() []bool {
 	return alive
 }
 
-// collect gathers every worker's payload for op, combines (with the root's
-// own contribution) and sends the per-rank results back. combine receives
-// payloads indexed by rank (root's own in slot 0) and returns the result
-// for each rank (often the same slice for all).
-func (c *tcpRoot) collect(op byte, own []float64, combine func(bufs [][]float64) [][]float64) ([]float64, error) {
+// collect gathers every worker's payload for op, checks each against the
+// root's expected length (want(r) words from rank r), combines (with the
+// root's own contribution) and sends the per-rank results back. combine
+// receives payloads indexed by rank (root's own in slot 0) and returns the
+// result for each rank (often the same slice for all). A malformed worker
+// payload fails the collective with an error instead of corrupting or
+// crashing the root; the workers' round trips then fail when the caller
+// closes the root.
+func (c *tcpRoot) collect(op byte, own []float64, want func(r int) int, combine func(bufs [][]float64) [][]float64) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
 	bufs := make([][]float64, c.size)
 	bufs[0] = own
+	release := func() {
+		for _, b := range bufs[1:] {
+			putBuf(b) // worker contributions decoded into pooled buffers
+		}
+	}
 	for r := 1; r < c.size; r++ {
 		_, p, err := c.conns[r].readMsg(op)
 		if err != nil {
+			release()
 			return nil, fmt.Errorf("cluster: root reading rank %d: %w", r, err)
 		}
 		bufs[r] = p
+		if n := want(r); len(p) != n {
+			release()
+			return nil, fmt.Errorf("cluster: root: rank %d sent %d words for %s, want %d", r, len(p), kindOfOp(op), n)
+		}
 	}
 	results := combine(bufs)
+	release()
 	for r := 1; r < c.size; r++ {
-		putBuf(bufs[r]) // worker contributions decoded into pooled buffers
 		if err := c.conns[r].writeMsg(op, 0, results[r]); err != nil {
 			return nil, fmt.Errorf("cluster: root replying to rank %d: %w", r, err)
 		}
@@ -775,15 +792,18 @@ func sameForAll(size int, res []float64) [][]float64 {
 	return out
 }
 
+// words returns a want function expecting n words from every rank.
+func words(n int) func(int) int { return func(int) int { return n } }
+
 func (c *tcpRoot) Barrier() error {
-	_, err := c.collect(opBarrier, nil, func(bufs [][]float64) [][]float64 {
+	_, err := c.collect(opBarrier, nil, words(0), func(bufs [][]float64) [][]float64 {
 		return sameForAll(c.size, nil)
 	})
 	return err
 }
 
 func (c *tcpRoot) AllreduceSum(buf []float64) error {
-	res, err := c.collect(opAllreduceSum, buf, func(bufs [][]float64) [][]float64 {
+	res, err := c.collect(opAllreduceSum, buf, words(len(buf)), func(bufs [][]float64) [][]float64 {
 		out := make([]float64, len(buf))
 		for _, b := range bufs {
 			for i, v := range b {
@@ -800,7 +820,7 @@ func (c *tcpRoot) AllreduceSum(buf []float64) error {
 }
 
 func (c *tcpRoot) AllreduceMax(buf []float64) error {
-	res, err := c.collect(opAllreduceMax, buf, func(bufs [][]float64) [][]float64 {
+	res, err := c.collect(opAllreduceMax, buf, words(len(buf)), func(bufs [][]float64) [][]float64 {
 		out := append([]float64(nil), bufs[0]...)
 		for _, b := range bufs[1:] {
 			for i, v := range b {
@@ -819,12 +839,11 @@ func (c *tcpRoot) AllreduceMax(buf []float64) error {
 }
 
 func (c *tcpRoot) Allgatherv(segment []float64, counts []int, out []float64) error {
-	res, err := c.collect(opAllgatherv, segment, func(bufs [][]float64) [][]float64 {
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		cat := make([]float64, 0, total)
+	if _, err := checkGatherArgs(0, c.size, segment, counts, out); err != nil {
+		return err
+	}
+	res, err := c.collect(opAllgatherv, segment, func(r int) int { return counts[r] }, func(bufs [][]float64) [][]float64 {
+		cat := make([]float64, 0, len(out))
 		for r := 0; r < c.size; r++ {
 			cat = append(cat, bufs[r]...)
 		}
@@ -833,15 +852,15 @@ func (c *tcpRoot) Allgatherv(segment []float64, counts []int, out []float64) err
 	if err != nil {
 		return err
 	}
-	if len(res) != len(out) {
-		return fmt.Errorf("cluster: Allgatherv length mismatch: %d vs %d", len(res), len(out))
-	}
 	copy(out, res)
 	return nil
 }
 
 func (c *tcpRoot) Bcast(buf []float64, root int) error {
-	res, err := c.collect(opBcast, buf, func(bufs [][]float64) [][]float64 {
+	if err := checkBcastRoot(root, c.size); err != nil {
+		return err
+	}
+	res, err := c.collect(opBcast, buf, words(len(buf)), func(bufs [][]float64) [][]float64 {
 		return sameForAll(c.size, append([]float64(nil), bufs[root]...))
 	})
 	if err != nil {
@@ -928,6 +947,9 @@ func (c *tcpWorker) Allgatherv(segment []float64, counts []int, out []float64) e
 }
 
 func (c *tcpWorker) Bcast(buf []float64, root int) error {
+	if err := checkBcastRoot(root, c.size); err != nil {
+		return err
+	}
 	res, err := c.roundTrip(opBcast, buf)
 	if err != nil {
 		return err
@@ -953,7 +975,7 @@ func (c *tcpWorker) IAllgatherv(segment []float64, counts []int, out []float64) 
 // to every peer (the root's star connections double as its links), a
 // dedicated reader goroutine per link demultiplexing tagged frames into
 // per-peer mailboxes, and the topology-aware collectives on top. It
-// implements Comm, Messenger, NonBlocking and FailureDetector.
+// implements Comm, Messenger and FailureDetector.
 type meshComm struct {
 	rank, size int
 	timeout    time.Duration

@@ -43,7 +43,7 @@ func RunDistributedDataEnergy(pr *Problem, P int, o Options) (float64, error) {
 	}
 	setup := newDistDataSetup(pr, P, o)
 	energies := make([]float64, P)
-	err := cluster.RunLocalAlgo(P, nil, collectiveAlgo(o), func(c cluster.Comm) error {
+	err := cluster.RunLocal(P, nil, func(c cluster.Comm) error {
 		e, err := setup.runRank(c)
 		if err != nil {
 			return err

@@ -35,6 +35,8 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 		{OctCilk, Options{Threads: 1}},
 		{OctCilk, Options{Threads: 4}},
 		{OctMPI, Options{Ranks: 3}},
+		{OctMPI, Options{Ranks: 4}},
+		{OctMPICilk, Options{Ranks: 3, Threads: 2}},
 		{OctMPICilk, Options{Ranks: 2, Threads: 3}},
 		{OctMPICilk, Options{Ranks: 2, Threads: 3, Math: gb.Approximate}},
 		{OctMPICilk, Options{Ranks: 2, Threads: 2, Division: AtomBased}},
@@ -77,22 +79,14 @@ func TestFlatMatchesRecursiveAcrossEngines(t *testing.T) {
 // the residency contract.
 func TestFlatDistributedDataEnergy(t *testing.T) {
 	pr := testProblem(600, 72)
-	flat, err := RunDistributedDataEnergy(pr, 3, Options{})
-	if err != nil {
-		t.Fatalf("flat: %v", err)
-	}
 	rec := serialOracle(pr, OctMPI, Options{})
-	if e := relErr(flat, rec.Epol); e > 1e-12 {
-		t.Errorf("distributed-data energy: flat %v vs recursive %v (rel %v)", flat, rec.Epol, e)
-	}
-}
-
-// TestToggleResolution pins the Toggle semantics: Auto means on.
-func TestToggleResolution(t *testing.T) {
-	if !Auto.enabled(true) || Auto.enabled(false) {
-		t.Error("Auto must resolve to the default")
-	}
-	if !On.enabled(false) || Off.enabled(true) {
-		t.Error("On/Off must override the default")
+	for _, P := range []int{3, 4} {
+		flat, err := RunDistributedDataEnergy(pr, P, Options{})
+		if err != nil {
+			t.Fatalf("P=%d: %v", P, err)
+		}
+		if e := relErr(flat, rec.Epol); e > 1e-12 {
+			t.Errorf("P=%d distributed-data energy: flat %v vs recursive %v (rel %v)", P, flat, rec.Epol, e)
+		}
 	}
 }

@@ -12,15 +12,6 @@ import (
 	"octgb/internal/sched"
 )
 
-// collectiveAlgo maps the TopoCollectives toggle onto the cluster layer's
-// algorithm selector for in-process groups.
-func collectiveAlgo(o Options) cluster.Algorithm {
-	if o.TopoCollectives.enabled(true) {
-		return cluster.Topo
-	}
-	return cluster.Star
-}
-
 // RealReport is the result of a genuinely executed parallel run.
 type RealReport struct {
 	Energy    float64
@@ -234,7 +225,7 @@ func runDistributedReal(pr *Problem, o Options) (RealReport, error) {
 	P := o.Ranks
 
 	results := make([]RealReport, P)
-	g := cluster.NewLocalGroupAlgo(P, nil, collectiveAlgo(o)).WithObserver(o.Observe)
+	g := cluster.NewLocalGroup(P, nil).WithObserver(o.Observe)
 	err := g.Run(func(c cluster.Comm) error {
 		rep, err := runRank(c, bs, pr, o)
 		if err != nil {
@@ -291,28 +282,16 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	lap(&rep.Phases.Born, po.born, "engine.born")
 
-	// Step 3: gather partial integrals (MPI_Allreduce). With a non-blocking
-	// transport both reductions are initiated before either is waited on,
-	// so the sNode exchange overlaps the sAtom one instead of serializing
-	// behind it.
-	nb, hasNB := c.(cluster.NonBlocking)
-	useTopo := hasNB && o.TopoCollectives.enabled(true)
-	if useTopo {
-		rNode := nb.IAllreduceSum(sNode)
-		rAtom := nb.IAllreduceSum(sAtom)
-		if err := rNode.Wait(); err != nil {
-			return rep, err
-		}
-		if err := rAtom.Wait(); err != nil {
-			return rep, err
-		}
-	} else {
-		if err := c.AllreduceSum(sNode); err != nil {
-			return rep, err
-		}
-		if err := c.AllreduceSum(sAtom); err != nil {
-			return rep, err
-		}
+	// Step 3: gather partial integrals (MPI_Allreduce). Both reductions are
+	// initiated before either is waited on, so the sNode exchange overlaps
+	// the sAtom one instead of serializing behind it.
+	rNode := c.IAllreduceSum(sNode)
+	rAtom := c.IAllreduceSum(sAtom)
+	if err := rNode.Wait(); err != nil {
+		return rep, err
+	}
+	if err := rAtom.Wait(); err != nil {
+		return rep, err
 	}
 	lap(&rep.Phases.Comm, po.comm, "engine.comm")
 
@@ -322,12 +301,12 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	bs.PushIntegrals(sNode, sAtom, int32(aseg.Lo), int32(aseg.Hi), rTree)
 	lap(&rep.Phases.Push, po.push, "engine.push")
 
-	// Step 5: gather Born radii of the other segments — overlapped, when
-	// the transport is non-blocking, with step 6's list construction: the
-	// E_pol acceptance test needs only tree geometry and ε, so the skeleton
-	// interaction list is built while the radii are still in flight
-	// (core.BuildEpolSkeletonInto) and its one radii-dependent Stats
-	// counter is completed once the solver exists (CompleteFarStats).
+	// Step 5: gather Born radii of the other segments, overlapped with
+	// step 6's list construction: the E_pol acceptance test needs only
+	// tree geometry and ε, so the skeleton interaction list is built while
+	// the radii are still in flight (core.BuildEpolSkeletonInto) and its
+	// one radii-dependent Stats counter is completed once the solver
+	// exists (CompleteFarStats).
 	counts := make([]int, P)
 	for r := 0; r < P; r++ {
 		counts[r] = partition.ForRank(n, P, r).Len()
@@ -335,15 +314,10 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 	rFull := make([]float64, n)
 	ecfg := core.EpolConfig{Eps: o.EpolEps, Math: o.Math}
 	lseg := partition.ForRank(bs.TA.NumLeaves(), P, rank)
-	var skel *core.InteractionList
-	if useTopo {
-		req := nb.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
-		skel = core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
-		lap(&rep.Phases.Epol, po.epol, "engine.epol")
-		if err := req.Wait(); err != nil {
-			return rep, err
-		}
-	} else if err := c.Allgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull); err != nil {
+	req := c.IAllgatherv(rTree[aseg.Lo:aseg.Hi], counts, rFull)
+	elist := core.BuildEpolSkeletonInto(new(core.InteractionList), bs.TA, core.EpolSeparation(ecfg), lseg.Lo, lseg.Hi)
+	lap(&rep.Phases.Epol, po.epol, "engine.epol")
+	if err := req.Wait(); err != nil {
 		return rep, err
 	}
 	rep.BornRadii = bs.RadiiToOriginal(rFull)
@@ -351,12 +325,7 @@ func runRank(c cluster.Comm, bs *core.BornSolver, pr *Problem, o Options) (RealR
 
 	// Step 6: partial energy for this rank's leaf segment.
 	es := core.NewEpolSolver(bs.TA, pr.Charges, rep.BornRadii, ecfg)
-	elist := skel
-	if elist != nil {
-		es.CompleteFarStats(elist)
-	} else {
-		elist = es.BuildEpolList(lseg.Lo, lseg.Hi)
-	}
+	es.CompleteFarStats(elist)
 	rep.EpolStats = elist.Stats()
 	raw, st := evalEpolListParallel(es, elist, pool)
 	rep.Sched.Add(st)

@@ -204,29 +204,20 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	if threads > 1 {
 		overhead = m.HybridOverhead
 	}
-	topo := sm.Opts.TopoCollectives.enabled(true)
 
 	clocks := simtime.NewClocks(P)
 	var comm float64
-	// sync charges one collective under the selected algorithm
-	// (AlgoCollectiveCost matches what cluster/collectives.go executes).
-	// overlapSec seconds of independent compute — already on the rank
-	// clocks via the compute phases — hide the same amount of collective
-	// time, modeling a non-blocking operation waited on afterwards.
+	// sync charges one topology-aware collective (AlgoCollectiveCost
+	// matches what cluster/collectives.go executes). overlapSec seconds of
+	// independent compute — already on the rank clocks via the compute
+	// phases — hide the same amount of collective time, modeling a
+	// non-blocking operation waited on afterwards.
 	sync := func(kind string, words int, overlapSec float64) {
-		c := jit(m.AlgoCollectiveCost(kind, topo, words, P, rpn), 0.5) - overlapSec
+		c := jit(m.AlgoCollectiveCost(kind, true, words, P, rpn), 0.5) - overlapSec
 		if c < 0 {
 			c = 0
 		}
-		var max float64
-		for _, t := range clocks.T {
-			if t > max {
-				max = t
-			}
-		}
-		for i := range clocks.T {
-			clocks.T[i] = max + c
-		}
+		clocks.Rendezvous(c)
 		comm += c
 	}
 
@@ -256,16 +247,12 @@ func (sm *SimModel) Time(P, threads int, m simtime.Machine, seed int64) SimTimin
 	for r := 0; r < P; r++ {
 		clocks.Advance(r, jit(pushPer, computeAmp))
 	}
-	// Phase 5: Allgather Born radii. Under the topology-aware layer the
-	// engine overlaps this with the energy phase's geometry-only list
-	// construction (real.go step 5), so the per-rank traversal cost — the
-	// NodesVisited share of phase 6, charged there — credits against the
-	// collective here.
+	// Phase 5: Allgather Born radii. The engine overlaps this with the
+	// energy phase's geometry-only list construction (real.go step 5), so
+	// the per-rank traversal cost — the NodesVisited share of phase 6,
+	// charged there — credits against the collective here.
 	if sm.Kind != OctCilk && sm.Kind != Naive {
-		var overlapSec float64
-		if topo {
-			overlapSec = float64(sm.EpolStats.NodesVisited) * sm.oc.NodeVisitSec * pen / float64(P)
-		}
+		overlapSec := float64(sm.EpolStats.NodesVisited) * sm.oc.NodeVisitSec * pen / float64(P)
 		sync("allgatherv", sm.numAtoms, overlapSec)
 	}
 
@@ -335,20 +322,11 @@ func (sm *SimModel) TimeAtomBased(P, threads int, m simtime.Machine) (SimTiming,
 	pen := m.MemoryPenalty(sm.BytesPerRank, rpn)
 	overhead := overheadFor(threads, m)
 
-	topo := sm.Opts.TopoCollectives.enabled(true)
 	clocks := simtime.NewClocks(P)
 	var comm float64
 	sync := func(kind string, words int) {
-		c := m.AlgoCollectiveCost(kind, topo, words, P, rpn)
-		var max float64
-		for _, t := range clocks.T {
-			if t > max {
-				max = t
-			}
-		}
-		for i := range clocks.T {
-			clocks.T[i] = max + c
-		}
+		c := m.AlgoCollectiveCost(kind, true, words, P, rpn)
+		clocks.Rendezvous(c)
 		comm += c
 	}
 

@@ -152,9 +152,9 @@ func (m Machine) CollectiveCost(kind string, words, nranks, ranksPerNode int) fl
 // executes (cluster/collectives.go), stage by stage in the α–β model
 // (t_s startup + t_w per word, Grama et al. Table 4.1):
 //
-//	topo=false — the root-star reference: the root serially collects P−1
-//	contributions and sends P−1 replies, so every stage pays t_s + t_w·m
-//	and the root is an O(P·m) bandwidth bottleneck.
+//	topo=false — the TCP root star (the mesh fallback): the root serially
+//	collects P−1 contributions and sends P−1 replies, so every stage pays
+//	t_s + t_w·m and the root is an O(P·m) bandwidth bottleneck.
 //	topo=true — the topology-aware algorithms: dissemination barrier
 //	(⌈log₂P⌉ rounds), recursive-doubling allreduce (⌊log₂P⌋ exchanges of
 //	the full buffer, plus one fold out and one fold back when P is not a
@@ -239,38 +239,10 @@ func NewClocks(n int) *Clocks { return &Clocks{T: make([]float64, n)} }
 // Advance adds dt seconds of compute to one rank's clock.
 func (c *Clocks) Advance(rank int, dt float64) { c.T[rank] += dt }
 
-// SyncCollective rendezvouses all ranks (everyone waits for the slowest)
-// and then charges the collective cost to all of them.
-func (c *Clocks) SyncCollective(m Machine, kind string, words, ranksPerNode int) {
-	var max float64
-	for _, t := range c.T {
-		if t > max {
-			max = t
-		}
-	}
-	after := max + m.CollectiveCost(kind, words, len(c.T), ranksPerNode)
-	for i := range c.T {
-		c.T[i] = after
-	}
-}
-
-// SyncCollectiveAlgo is SyncCollective with an explicit algorithm
-// selection and an overlap credit: overlapSec seconds of independent
-// compute (already charged to the rank clocks elsewhere) hide the same
-// amount of collective time, modeling a non-blocking operation waited on
-// after that compute finishes.
-func (c *Clocks) SyncCollectiveAlgo(m Machine, kind string, topo bool, words, ranksPerNode int, overlapSec float64) {
-	cost := m.AlgoCollectiveCost(kind, topo, words, len(c.T), ranksPerNode) - overlapSec
-	if cost < 0 {
-		cost = 0
-	}
-	var max float64
-	for _, t := range c.T {
-		if t > max {
-			max = t
-		}
-	}
-	after := max + cost
+// Rendezvous synchronizes all ranks at a collective: everyone waits for
+// the slowest clock, then the collective's cost is charged to all of them.
+func (c *Clocks) Rendezvous(cost float64) {
+	after := c.Elapsed() + cost
 	for i := range c.T {
 		c.T[i] = after
 	}

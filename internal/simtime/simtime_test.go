@@ -69,22 +69,6 @@ func TestAlgoCollectiveCost(t *testing.T) {
 	}
 }
 
-func TestSyncCollectiveAlgoOverlapCredit(t *testing.T) {
-	m := Lonestar4()
-	full := NewClocks(4)
-	full.SyncCollectiveAlgo(m, "allgatherv", true, 1<<16, 1, 0)
-	part := NewClocks(4)
-	part.SyncCollectiveAlgo(m, "allgatherv", true, 1<<16, 1, full.Elapsed()/2)
-	if e := math.Abs(part.Elapsed() - full.Elapsed()/2); e > 1e-15 {
-		t.Errorf("overlap credit: %v vs %v", part.Elapsed(), full.Elapsed()/2)
-	}
-	over := NewClocks(4)
-	over.SyncCollectiveAlgo(m, "allgatherv", true, 1<<16, 1, 10*full.Elapsed())
-	if over.Elapsed() != 0 {
-		t.Errorf("over-credit should clamp to zero, got %v", over.Elapsed())
-	}
-}
-
 func TestMemoryPenaltyRegimes(t *testing.T) {
 	m := Lonestar4()
 	// Fits in L3: no penalty.
@@ -133,7 +117,7 @@ func TestClocks(t *testing.T) {
 	if c.Elapsed() != 3.0 {
 		t.Errorf("elapsed %v", c.Elapsed())
 	}
-	c.SyncCollective(m, "allreduce", 100, 2)
+	c.Rendezvous(m.CollectiveCost("allreduce", 100, 4, 2))
 	// All clocks equal, strictly after the slowest rank.
 	want := 3.0 + m.CollectiveCost("allreduce", 100, 4, 2)
 	for i, v := range c.T {
@@ -146,7 +130,7 @@ func TestClocks(t *testing.T) {
 func TestSyncCollectiveSingleRankFree(t *testing.T) {
 	c := NewClocks(1)
 	c.Advance(0, 2)
-	c.SyncCollective(Lonestar4(), "allreduce", 1e6, 12)
+	c.Rendezvous(Lonestar4().CollectiveCost("allreduce", 1e6, 1, 12))
 	if c.Elapsed() != 2 {
 		t.Errorf("single-rank collective charged time: %v", c.Elapsed())
 	}
