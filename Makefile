@@ -62,8 +62,8 @@ chaos:
 	CHAOS_FULL=1 $(GO) test ./internal/clusterchaos/ -run TestChaosMatrix -timeout 30m -v
 
 ## fabric-chaos: the serving fabric's worker-crash matrix — victim index ×
-## crash mode (HTTP-only vs full) × hedging, each cell a live router + 3
-## engine workers with one killed mid-load. Asserts no accepted request
+## crash mode (HTTP-only vs full), each cell a live router + 3 engine
+## workers with one killed mid-load. Asserts no accepted request
 ## lost, ring convergence, and router health on the survivors. Seconds of
 ## wall time, so it rides in verify.
 fabric-chaos:

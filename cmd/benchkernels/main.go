@@ -20,31 +20,24 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"octgb/internal/benchgate"
 	"octgb/internal/core"
 	"octgb/internal/molecule"
 	"octgb/internal/sched"
 	"octgb/internal/surface"
 )
 
-type result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
 type report struct {
 	NAtoms     int                `json:"n_atoms"`
 	NQPoints   int                `json:"n_qpoints"`
 	GoVersion  string             `json:"go_version"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
-	Results    []result           `json:"results"`
+	Results    []benchgate.Result `json:"results"`
 	Derived    map[string]float64 `json:"derived"`
 }
 
@@ -86,28 +79,16 @@ func main() {
 		Derived:    map[string]float64{},
 	}
 	run := func(name string, fn func(b *testing.B)) float64 {
-		// Min-of-reps on the treecode kernels: the minimum is the standard
-		// noise-robust estimator for single-machine benchmarking — every
-		// source of interference only ever makes a run slower.
+		// Min-of-reps on the treecode kernels only.
 		reps := 1
-		if strings.HasPrefix(name, "born/") || strings.HasPrefix(name, "epol/") {
+		if treecodeKernel(name) {
 			reps = *best
 		}
-		var bestRes testing.BenchmarkResult
-		bestNS := math.Inf(1)
-		for i := 0; i < reps; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				fn(b)
-			})
-			if ns := float64(r.T.Nanoseconds()) / float64(r.N); ns < bestNS {
-				bestNS, bestRes = ns, r
-			}
-		}
-		rep.Results = append(rep.Results, result{name, bestNS, bestRes.AllocedBytesPerOp(), bestRes.AllocsPerOp()})
+		r := benchgate.Best(name, reps, fn)
+		rep.Results = append(rep.Results, r)
 		fmt.Printf("%-34s %14.1f ns/op %12d B/op %6d allocs/op\n",
-			name, bestNS, bestRes.AllocedBytesPerOp(), bestRes.AllocsPerOp())
-		return bestNS
+			name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		return r.NsPerOp
 	}
 
 	// ---- treecode kernels ------------------------------------------------
@@ -242,6 +223,12 @@ func main() {
 	fmt.Printf("wrote %s\n", *outPath)
 }
 
+// treecodeKernel reports the Born and energy benchmarks, the ones repeated
+// for -best.
+func treecodeKernel(name string) bool {
+	return strings.HasPrefix(name, "born/") || strings.HasPrefix(name, "epol/")
+}
+
 // checkAgainst compares a fresh run with the committed baseline and
 // returns the process exit code: 1 if any treecode evaluation kernel
 // regressed by more than tol on ns/op or gained an allocation, else 0.
@@ -251,34 +238,10 @@ func main() {
 // Run on a quiet machine: the gate measures the CPU, and a loaded box
 // fails it spuriously.
 func checkAgainst(baseline, fresh *report, tol float64) int {
-	base := make(map[string]result, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Name] = r
-	}
-	fmt.Printf("\n%-34s %14s %14s %9s\n", "kernel", "baseline ns/op", "fresh ns/op", "delta")
-	failed := 0
-	for _, r := range fresh.Results {
-		b, ok := base[r.Name]
-		if !ok {
-			fmt.Printf("%-34s %14s %14.1f %9s\n", r.Name, "(new)", r.NsPerOp, "-")
-			continue
-		}
-		delta := r.NsPerOp/b.NsPerOp - 1
-		gated := (strings.HasPrefix(r.Name, "born/") || strings.HasPrefix(r.Name, "epol/")) &&
-			!strings.Contains(r.Name, "rebuild")
-		status := ""
-		if gated {
-			if delta > tol {
-				status = "  REGRESSED"
-				failed++
-			}
-			if r.AllocsPerOp > b.AllocsPerOp {
-				status += "  ALLOCS"
-				failed++
-			}
-		}
-		fmt.Printf("%-34s %14.1f %14.1f %+8.1f%%%s\n", r.Name, b.NsPerOp, r.NsPerOp, delta*100, status)
-	}
+	gate := benchgate.Gate{Tol: tol, Label: "kernel", Width: 34, Gated: func(name string) bool {
+		return treecodeKernel(name) && !strings.Contains(name, "rebuild")
+	}}
+	failed := gate.Check(os.Stdout, baseline.Results, fresh.Results)
 	if failed > 0 {
 		fmt.Printf("\nFAIL: %d kernel(s) regressed beyond %.0f%% vs %d-atom baseline\n",
 			failed, tol*100, baseline.NAtoms)

@@ -23,24 +23,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
+	"octgb/internal/benchgate"
 	"octgb/internal/engine"
 	"octgb/internal/geom"
 	"octgb/internal/molecule"
 	"octgb/internal/surface"
 )
-
-type result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
 
 type report struct {
 	NAtoms     int                `json:"n_atoms"`
@@ -48,7 +41,7 @@ type report struct {
 	Movers     int                `json:"movers"`
 	GoVersion  string             `json:"go_version"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
-	Results    []result           `json:"results"`
+	Results    []benchgate.Result `json:"results"`
 	Derived    map[string]float64 `json:"derived"`
 }
 
@@ -101,23 +94,11 @@ func main() {
 		Derived:    map[string]float64{},
 	}
 	run := func(name string, fn func(b *testing.B)) float64 {
-		// Min-of-reps: the minimum is the standard noise-robust estimator
-		// for single-machine benchmarking — interference only slows runs.
-		var bestRes testing.BenchmarkResult
-		bestNS := math.Inf(1)
-		for i := 0; i < *best; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				fn(b)
-			})
-			if ns := float64(r.T.Nanoseconds()) / float64(r.N); ns < bestNS {
-				bestNS, bestRes = ns, r
-			}
-		}
-		rep.Results = append(rep.Results, result{name, bestNS, bestRes.AllocedBytesPerOp(), bestRes.AllocsPerOp()})
+		r := benchgate.Best(name, *best, fn)
+		rep.Results = append(rep.Results, r)
 		fmt.Printf("%-28s %14.1f ns/op %12d B/op %8d allocs/op\n",
-			name, bestNS, bestRes.AllocedBytesPerOp(), bestRes.AllocsPerOp())
-		return bestNS
+			name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		return r.NsPerOp
 	}
 
 	mol := molecule.GenerateProtein("stream", *n, 5)
@@ -244,30 +225,8 @@ func jitterFrames(mol *molecule.Molecule, k, movers int, amp float64, seed int64
 // speedup fell below the acceptance floor. Run on a quiet machine: the
 // gate measures the CPU, and a loaded box fails it spuriously.
 func checkAgainst(baseline, fresh *report, tol float64) int {
-	base := make(map[string]result, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Name] = r
-	}
-	fmt.Printf("\n%-28s %14s %14s %9s\n", "benchmark", "baseline ns/op", "fresh ns/op", "delta")
-	failed := 0
-	for _, r := range fresh.Results {
-		b, ok := base[r.Name]
-		if !ok {
-			fmt.Printf("%-28s %14s %14.1f %9s\n", r.Name, "(new)", r.NsPerOp, "-")
-			continue
-		}
-		delta := r.NsPerOp/b.NsPerOp - 1
-		status := ""
-		if delta > tol {
-			status = "  REGRESSED"
-			failed++
-		}
-		if r.AllocsPerOp > b.AllocsPerOp {
-			status += "  ALLOCS"
-			failed++
-		}
-		fmt.Printf("%-28s %14.1f %14.1f %+8.1f%%%s\n", r.Name, b.NsPerOp, r.NsPerOp, delta*100, status)
-	}
+	gate := benchgate.Gate{Tol: tol, Label: "benchmark", Width: 28}
+	failed := gate.Check(os.Stdout, baseline.Results, fresh.Results)
 	sp := fresh.Derived["stream_frame_speedup"]
 	fmt.Printf("\nincremental frame speedup: %.2fx (floor %.0fx, baseline %.2fx)\n",
 		sp, speedupFloor, baseline.Derived["stream_frame_speedup"])

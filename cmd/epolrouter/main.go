@@ -1,15 +1,14 @@
 // Command epolrouter runs the stateless front end of the sharded serving
 // fabric: it accepts worker registrations on a membership port, routes
 // /v1/energy, /v1/sweep and /v1/stream requests across the registered
-// workers by molecule content hash on a consistent-hash ring, fails over
-// to replica shards when a worker dies, and hedges tail-latency requests.
+// workers by molecule content hash on a consistent-hash ring, and fails
+// over to replica shards when a worker dies.
 //
 // Usage:
 //
 //	epolrouter -addr :8700 -membership :8701
 //	epolserve -addr :8686 -join 127.0.0.1:8701     # then add workers
-//	epolrouter -replicas 2 -hedge-delay 0          # adaptive p95 hedging
-//	epolrouter -hedge-delay -1ns                   # hedging off
+//	epolrouter -replicas 3                         # wider replica set
 //
 // Endpoints: POST /v1/energy, POST /v1/sweep, POST /v1/stream (+ the
 // shard-sticky /v1/stream/{id}/frame and /close), GET /stats, GET
@@ -53,7 +52,6 @@ func run(args []string, out io.Writer, ready chan<- [2]string) error {
 		replicas   = fs.Int("replicas", fabric.DefaultReplicas, "replication factor R: failover + hot-key replica set size")
 		vnodes     = fs.Int("vnodes", fabric.DefaultVNodes, "virtual nodes per worker on the ring")
 		timeout    = fs.Duration("timeout", fabric.DefaultMembershipTimeout, "heartbeat timeout: a worker silent this long is failed")
-		hedge      = fs.Duration("hedge-delay", 0, "hedging delay: 0 adapts to upstream p95, negative disables hedging")
 		observe    = fs.Bool("observe", true, "expose /metrics and record per-shard latency histograms")
 		verbose    = fs.Bool("v", false, "log membership and failover events")
 	)
@@ -67,7 +65,6 @@ func run(args []string, out io.Writer, ready chan<- [2]string) error {
 		Replicas:       *replicas,
 		VNodes:         *vnodes,
 		Timeout:        *timeout,
-		HedgeDelay:     *hedge,
 	}
 	if *observe {
 		cfg.Observe = obs.New()

@@ -13,8 +13,8 @@ import (
 	"octgb/internal/testutil"
 )
 
-// The chaos harness: a worker-crash matrix over victim index × crash mode
-// × hedging, each cell asserting the fabric's degradation contract — no
+// The chaos harness: a worker-crash matrix over victim index × crash
+// mode, each cell asserting the fabric's degradation contract — no
 // accepted energy/sweep request lost, ring convergence, router healthy.
 //
 // `go test` runs a single quick cell; `FABRIC_CHAOS=1 go test -run
@@ -22,27 +22,23 @@ import (
 // the full matrix.
 
 type chaosCase struct {
-	name    string
-	victim  int
-	mode    string // "http" = HTTP dies, membership lingers; "full" = both die
-	hedging bool
+	name   string
+	victim int
+	mode   string // "http" = HTTP dies, membership lingers; "full" = both die
 }
 
 func chaosMatrix(full bool) []chaosCase {
 	if !full {
-		return []chaosCase{{name: "quick-full-crash", victim: 1, mode: "full", hedging: false}}
+		return []chaosCase{{name: "quick-full-crash", victim: 1, mode: "full"}}
 	}
 	var cases []chaosCase
 	for victim := 0; victim < 3; victim++ {
 		for _, mode := range []string{"http", "full"} {
-			for _, hedging := range []bool{false, true} {
-				cases = append(cases, chaosCase{
-					name:    fmt.Sprintf("victim%d-%s-hedge%v", victim, mode, hedging),
-					victim:  victim,
-					mode:    mode,
-					hedging: hedging,
-				})
-			}
+			cases = append(cases, chaosCase{
+				name:   fmt.Sprintf("victim%d-%s", victim, mode),
+				victim: victim,
+				mode:   mode,
+			})
 		}
 	}
 	return cases
@@ -57,11 +53,7 @@ func TestChaosWorkerCrashMatrix(t *testing.T) {
 }
 
 func runChaosCase(t *testing.T, tc chaosCase) {
-	cfg := RouterConfig{HedgeDelay: -1}
-	if tc.hedging {
-		cfg.HedgeDelay = 25 * time.Millisecond
-	}
-	rt, front, workers := newFabric(t, 3, cfg)
+	rt, front, workers := newFabric(t, 3, RouterConfig{})
 
 	const nMol = 4
 	mols := make([]serve.MoleculeJSON, nMol)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"octgb/internal/molecule"
+	"octgb/internal/obs"
 	"octgb/internal/serve"
 	"octgb/internal/testutil"
 )
@@ -131,7 +132,7 @@ func hitRate(ls serve.LoadStats) float64 {
 // pre-crash value.
 func TestE2EFailoverMidSweep(t *testing.T) {
 	defer testutil.Watchdog(t, 4*time.Minute)()
-	rt, front, workers := newFabric(t, 3, RouterConfig{HedgeDelay: -1})
+	rt, front, workers := newFabric(t, 3, RouterConfig{})
 
 	// A mixed molecule population: distinct small proteins, each repeated
 	// so the prepared caches warm up.
@@ -331,7 +332,7 @@ func TestE2EFailoverMidSweep(t *testing.T) {
 // shard prefix is rejected with the same token.
 func TestE2EStreamCloseAndUnknownSession(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
-	_, front, _ := newFabric(t, 2, RouterConfig{HedgeDelay: -1})
+	_, front, _ := newFabric(t, 2, RouterConfig{})
 
 	mol := serve.FromMolecule(molecule.GenerateProtein("sc", 25, 5))
 	resp, body := postBody(t, front.URL+"/v1/stream", serve.StreamCreateRequest{Molecule: mol})
@@ -358,5 +359,62 @@ func TestE2EStreamCloseAndUnknownSession(t *testing.T) {
 		serve.StreamFrameRequest{Moves: []serve.MoveJSON{{I: 0, Pos: [3]float64{1, 0, 0}}}})
 	if resp4.StatusCode != http.StatusNotFound || !bytes.Contains(body4, []byte("not_found")) {
 		t.Fatalf("unprefixed session: %d %s, want 404 not_found", resp4.StatusCode, body4)
+	}
+}
+
+// upstreamCount reads the router's octgb_fabric_upstream_seconds_count
+// sample for one worker shard from /metrics (0 when the series is absent).
+func upstreamCount(t *testing.T, frontURL, worker string) int {
+	t.Helper()
+	resp, err := http.Get(frontURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := `octgb_fabric_upstream_seconds_count{worker="` + worker + `"} `
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("malformed sample %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestStickyFramesObserveUpstreamLatency: sticky stream requests go
+// through the same upstream send as keyed routes, so every routed frame
+// lands exactly once in its session shard's per-worker latency histogram.
+func TestStickyFramesObserveUpstreamLatency(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	_, front, _ := newFabric(t, 2, RouterConfig{Observe: obs.New()})
+
+	mol := serve.FromMolecule(molecule.GenerateProtein("sm", 25, 6))
+	resp, body := postBody(t, front.URL+"/v1/stream", serve.StreamCreateRequest{Molecule: mol})
+	if resp.StatusCode != 200 && resp.StatusCode != 201 {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	var cr serve.StreamCreateResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	owner, _, _ := strings.Cut(cr.SessionID, sessionIDSep)
+
+	for f := 1; f <= 3; f++ {
+		before := upstreamCount(t, front.URL, owner)
+		resp, body := postBody(t, front.URL+"/v1/stream/"+cr.SessionID+"/frame",
+			serve.StreamFrameRequest{Moves: []serve.MoveJSON{{I: 0, Pos: [3]float64{0.05 * float64(f), 0, 0}}}})
+		if resp.StatusCode != 200 {
+			t.Fatalf("frame %d: %d %s", f, resp.StatusCode, body)
+		}
+		if got := upstreamCount(t, front.URL, owner) - before; got != 1 {
+			t.Fatalf("frame %d added %d to %s's upstream latency count, want 1", f, got, owner)
+		}
 	}
 }

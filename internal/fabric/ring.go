@@ -12,8 +12,8 @@
 // balancing routes to whoever is warm and spills to whoever is idle, and
 // failover builds on the cluster layer's typed ErrRankFailed +
 // FailureDetector machinery: a worker silent past the heartbeat timeout
-// is removed from the ring, its range reassigned, in-flight requests
-// retried on the replica, and request hedging caps tail latency.
+// is removed from the ring, its range reassigned, and in-flight requests
+// retried on the replica.
 //
 // Components:
 //
@@ -26,7 +26,7 @@
 //   - Worker: the worker-side agent — registers a serve.Server with the
 //     router and streams load reports (worker.go).
 //   - Router: the stateless HTTP front end — routing, replication,
-//     failover, hedging (router.go, hedge.go).
+//     failover (router.go), cache-aware balancing (balance.go).
 //
 // See DESIGN.md §14 for the architecture and the failover state machine.
 package fabric

@@ -53,10 +53,6 @@ type RouterConfig struct {
 	VNodes int
 	// Timeout is the membership heartbeat timeout.
 	Timeout time.Duration
-	// HedgeDelay fixes the hedging delay. 0 derives it per request from
-	// the p95 of observed upstream latency (the adaptive default);
-	// negative disables hedging.
-	HedgeDelay time.Duration
 	// Client performs upstream requests (a pooled default when nil).
 	Client *http.Client
 	// Observe exports the router's metrics; nil disables /metrics.
@@ -76,11 +72,6 @@ type routerMetrics struct {
 	noWorkers      atomic.Int64 // rejected: empty ring
 	upstreamFailed atomic.Int64 // all owners exhausted by transport errors
 	lostSessions   atomic.Int64 // sticky session whose shard is gone
-
-	hedgesLaunched atomic.Int64 // secondary requests launched
-	hedgeWins      atomic.Int64 // secondary finished first
-	hedgesDeduped  atomic.Int64 // both legs answered; duplicate discarded
-	hedgesCanceled atomic.Int64 // loser cut short by context cancel
 }
 
 // Router is the stateless front end of the serving fabric. It owns no
@@ -96,12 +87,6 @@ type Router struct {
 	met    routerMetrics
 	hot    *hotTracker
 	spread atomic.Uint64 // alternates hot keys across their replica set
-
-	// upstreamLat feeds the p95-derived hedge delay. It lives in the
-	// Observe registry when one is configured (it IS
-	// octgb_fabric_upstream_seconds aggregated) and in a private registry
-	// otherwise, so hedging adapts either way.
-	upstreamLat *obs.Histogram
 
 	perWorkerMu  sync.Mutex
 	perWorkerLat map[string]*obs.Histogram
@@ -136,12 +121,6 @@ func NewRouter(cfg RouterConfig) *Router {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	reg := obs.NewRegistry()
-	if cfg.Observe != nil {
-		reg = cfg.Observe.Reg
-	}
-	rt.upstreamLat = reg.Histogram("octgb_fabric_upstream_seconds", "", "Upstream request latency across all workers (feeds the p95-derived hedge delay).")
-
 	rt.mem = NewMembership(MembershipConfig{
 		Timeout: cfg.Timeout,
 		VNodes:  cfg.VNodes,
@@ -252,10 +231,17 @@ func writeRouterError(w http.ResponseWriter, status int, token, detail string) {
 }
 
 // readBody buffers the request body for replay across failover attempts.
+// Only an oversized body is too_large; any other read failure (a client
+// gone mid-upload, a torn chunked body) is a bad request.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
-		writeRouterError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds limit")
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeRouterError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds limit")
+		} else {
+			writeRouterError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
+		}
 		return nil, false
 	}
 	return body, true
@@ -275,7 +261,7 @@ func (rt *Router) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "bad_request", "invalid energy request")
 		return
 	}
-	rt.forward(w, r, hashAtoms(req.Molecule.Atoms), body, true)
+	rt.forward(w, r, hashAtoms(req.Molecule.Atoms), body, nil)
 }
 
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -300,26 +286,17 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Receptor != nil && len(req.Receptor.Atoms) > 0 {
 		key = hashAtoms(req.Receptor.Atoms)
 	}
-	rt.forward(w, r, key, body, true)
+	rt.forward(w, r, key, body, nil)
 }
 
-// forward routes one idempotent request: plan the owner order, optionally
-// hedge, fail over on transport errors, relay the first response.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, body []byte, hedgeable bool) {
+// forward routes one keyed request: plan the owner order, fail over on
+// transport errors, relay the first response. transform, when non-nil,
+// rewrites a successful response body given the shard that served it.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, body []byte, transform func(worker string, body []byte) []byte) {
 	order := rt.plan(key)
 	if len(order) == 0 {
 		rt.met.noWorkers.Add(1)
 		writeRouterError(w, http.StatusServiceUnavailable, "no_workers", "no workers registered")
-		return
-	}
-	if hedgeable && len(order) >= 2 && rt.cfg.HedgeDelay >= 0 {
-		resp, worker, err := rt.hedged(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
-		if err != nil {
-			rt.met.upstreamFailed.Add(1)
-			writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
-			return
-		}
-		rt.relay(w, resp, worker, nil)
 		return
 	}
 	resp, worker, err := rt.tryEach(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
@@ -328,19 +305,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key uint64, bo
 		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
 		return
 	}
-	rt.relay(w, resp, worker, nil)
+	rt.relay(w, resp, worker, transform)
 }
 
 // send performs one upstream attempt against worker id. A non-nil error
-// is a transport failure (dial, reset, torn body) — the worker is suspect
-// and the caller should fail over; HTTP-level errors come back as
-// responses.
-func (rt *Router) send(ctx context.Context, id, path, contentType string, body []byte) (*http.Response, error) {
+// is a transport failure (dial, reset, torn body) or a worker no longer
+// registered — the caller should fail over; HTTP-level errors come back
+// as responses.
+func (rt *Router) send(ctx context.Context, method, id, path, contentType string, body []byte) (*http.Response, error) {
 	info, ok := rt.mem.Member(id)
 	if !ok {
 		return nil, fmt.Errorf("worker %s no longer registered", id)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+info.Addr+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+info.Addr+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -350,17 +327,14 @@ func (rt *Router) send(ctx context.Context, id, path, contentType string, body [
 	start := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		// A cancelled context is our own doing (client gone or hedge
-		// loser cut short) — only organic transport errors make the
-		// worker suspect.
+		// A cancelled context means the client went away — only organic
+		// transport errors make the worker suspect.
 		if ctx.Err() == nil {
 			rt.mem.Suspect(id, err)
 		}
 		return nil, err
 	}
-	d := time.Since(start)
-	rt.upstreamLat.Observe(d)
-	rt.workerLat(id).Observe(d)
+	rt.workerLat(id).Observe(time.Since(start))
 	return resp, nil
 }
 
@@ -404,7 +378,7 @@ func (rt *Router) tryEach(ctx context.Context, order []string, path, contentType
 				rt.cfg.Observe.Counter("octgb_fabric_retries_total", "", "Failover retries onto a replica shard.").Inc()
 			}
 		}
-		resp, err := rt.send(ctx, id, path, contentType, body)
+		resp, err := rt.send(ctx, http.MethodPost, id, path, contentType, body)
 		if err != nil {
 			lastErr = err
 			continue
@@ -422,8 +396,8 @@ func (rt *Router) tryEach(ctx context.Context, order []string, path, contentType
 }
 
 // relay copies an upstream response to the client, stamping the serving
-// shard, optionally transforming the body.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker string, transform func([]byte) []byte) {
+// shard, optionally transforming a successful body.
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker string, transform func(worker string, body []byte) []byte) {
 	defer resp.Body.Close()
 	rt.met.forwarded.Add(1)
 	body, err := io.ReadAll(resp.Body)
@@ -432,7 +406,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker strin
 		return
 	}
 	if transform != nil && resp.StatusCode < 300 {
-		body = transform(body)
+		body = transform(worker, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -447,8 +421,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, worker strin
 
 // handleStreamCreate routes a session create by molecule hash and rewrites
 // the returned session ID into routed form ("worker~sid") so every later
-// frame carries its shard. Creates are not hedged — a session is state,
-// and hedging one would strand a twin on the loser shard.
+// frame carries its shard.
 func (rt *Router) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeRouterError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
@@ -463,19 +436,7 @@ func (rt *Router) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "bad_request", "invalid stream create request")
 		return
 	}
-	order := rt.plan(hashAtoms(req.Molecule.Atoms))
-	if len(order) == 0 {
-		rt.met.noWorkers.Add(1)
-		writeRouterError(w, http.StatusServiceUnavailable, "no_workers", "no workers registered")
-		return
-	}
-	resp, worker, err := rt.tryEach(r.Context(), order, r.URL.Path, r.Header.Get("Content-Type"), body)
-	if err != nil {
-		rt.met.upstreamFailed.Add(1)
-		writeRouterError(w, http.StatusBadGateway, "upstream_failed", err.Error())
-		return
-	}
-	rt.relay(w, resp, worker, func(b []byte) []byte {
+	rt.forward(w, r, hashAtoms(req.Molecule.Atoms), body, func(worker string, b []byte) []byte {
 		return rewriteSessionID(b, func(sid string) string { return worker + sessionIDSep + sid })
 	})
 }
@@ -493,12 +454,6 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusNotFound, "not_found", "unknown session "+routedID)
 		return
 	}
-	if _, ok := rt.mem.Member(worker); !ok {
-		rt.met.lostSessions.Add(1)
-		rt.lostSessionCounter().Inc()
-		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -507,29 +462,17 @@ func (rt *Router) handleStreamSticky(w http.ResponseWriter, r *http.Request) {
 	if suffix != "" {
 		path += "/" + suffix
 	}
-	info, _ := rt.mem.Member(worker)
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, "http://"+info.Addr+path, bytes.NewReader(body))
+	resp, err := rt.send(r.Context(), r.Method, worker, path, r.Header.Get("Content-Type"), body)
 	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	start := time.Now()
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		// The shard died under the session: suspect it (funnels ring
-		// removal through membership) and report the loss with the same
-		// token an eviction uses.
-		rt.mem.Suspect(worker, err)
+		// The shard is gone (unregistered, or died under the session —
+		// send has suspected it, funnelling ring removal through
+		// membership): report the loss with the token an eviction uses.
 		rt.met.lostSessions.Add(1)
 		rt.lostSessionCounter().Inc()
 		writeRouterError(w, http.StatusNotFound, "not_found", "session shard lost: "+routedID)
 		return
 	}
-	rt.upstreamLat.Observe(time.Since(start))
-	rt.relay(w, resp, worker, func(b []byte) []byte {
+	rt.relay(w, resp, worker, func(_ string, b []byte) []byte {
 		return rewriteSessionID(b, func(string) string { return routedID })
 	})
 }
@@ -596,14 +539,11 @@ type RouterStats struct {
 		Rejects  int64 `json:"rejects"`
 	} `json:"membership"`
 
+	// Deprecated: the router no longer hedges requests; both fields are
+	// always zero and kept only for readers of the old schema.
 	Hedge struct {
 		Launched int64 `json:"launched"`
 		Wins     int64 `json:"wins"`
-		Deduped  int64 `json:"deduped"`
-		Canceled int64 `json:"canceled"`
-		// DelayMS is the delay a hedge launched now would wait — fixed or
-		// p95-derived.
-		DelayMS float64 `json:"delay_ms"`
 	} `json:"hedge"`
 }
 
@@ -622,11 +562,6 @@ func (rt *Router) Stats() RouterStats {
 	out.Requests.UpstreamFailed = rt.met.upstreamFailed.Load()
 	out.Requests.LostSessions = rt.met.lostSessions.Load()
 	out.Membership.Joins, out.Membership.Goodbyes, out.Membership.Failures, out.Membership.Rejects = rt.mem.Counters()
-	out.Hedge.Launched = rt.met.hedgesLaunched.Load()
-	out.Hedge.Wins = rt.met.hedgeWins.Load()
-	out.Hedge.Deduped = rt.met.hedgesDeduped.Load()
-	out.Hedge.Canceled = rt.met.hedgesCanceled.Load()
-	out.Hedge.DelayMS = float64(rt.hedgeDelay()) / 1e6
 	return out
 }
 

@@ -3,49 +3,35 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
-	"octgb/internal/obs"
+	"octgb/internal/molecule"
+	"octgb/internal/serve"
 )
 
 // stubWorker is a scriptable upstream: an httptest server plus a worker
-// agent registered under id, with togglable latency and context
-// awareness.
+// agent registered under id, counting the requests it answers.
 type stubWorker struct {
-	id       string
-	ts       *httptest.Server
-	agent    *Worker
-	hits     atomic.Int64
-	delay    atomic.Int64 // ns to sleep before answering
-	sawHits  atomic.Int64
-	canceled atomic.Int64 // handlers cut short by context cancel
-	barrier  chan struct{} // when non-nil, handlers block until it closes
+	id    string
+	ts    *httptest.Server
+	agent *Worker
+	hits  atomic.Int64
 }
 
 func (s *stubWorker) handler(w http.ResponseWriter, r *http.Request) {
 	s.hits.Add(1)
-	// Consume the body like a real worker: the server starts watching for
-	// client disconnect (context cancellation) only once the body is read.
 	_, _ = io.Copy(io.Discard, r.Body)
-	if s.barrier != nil {
-		<-s.barrier
-	}
-	if d := time.Duration(s.delay.Load()); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-r.Context().Done():
-			s.canceled.Add(1)
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"request_id":"r1","worker":%q,"energy":-42.0}`, s.id)
 }
@@ -150,7 +136,7 @@ func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // TestRouterRoutesByKey: the same molecule always lands on its ring
 // owner; the serving shard is stamped on the response.
 func TestRouterRoutesByKey(t *testing.T) {
-	rt, front, workers := newRouterHarness(t, 3, RouterConfig{HedgeDelay: -1})
+	rt, front, workers := newRouterHarness(t, 3, RouterConfig{})
 	for seed := 0; seed < 5; seed++ {
 		want := rt.mem.Ring().Owner(keyOf(seed))
 		for rep := 0; rep < 3; rep++ {
@@ -176,7 +162,7 @@ func TestRouterRoutesByKey(t *testing.T) {
 // request retries on the replica and succeeds, and the dead worker leaves
 // the ring via the suspect path.
 func TestRouterFailover(t *testing.T) {
-	rt, front, workers := newRouterHarness(t, 3, RouterConfig{HedgeDelay: -1})
+	rt, front, workers := newRouterHarness(t, 3, RouterConfig{})
 	const seed = 7
 	owners := rt.mem.Ring().Owners(keyOf(seed), 2)
 	prim := stubByID(t, workers, owners[0])
@@ -214,7 +200,7 @@ func TestRouterFailover(t *testing.T) {
 // TestRouterSpillsWhenPrimaryBusy: a cold key leaves a saturated primary
 // for an idle replica, driven by the heartbeat load reports.
 func TestRouterSpillsWhenPrimaryBusy(t *testing.T) {
-	rt, _, workers := newRouterHarness(t, 2, RouterConfig{HedgeDelay: -1})
+	rt, _, workers := newRouterHarness(t, 2, RouterConfig{})
 	const seed = 3
 	owners := rt.mem.Ring().Owners(keyOf(seed), 2)
 	// Mark the primary saturated via its member load (as a heartbeat
@@ -235,7 +221,7 @@ func TestRouterSpillsWhenPrimaryBusy(t *testing.T) {
 // TestRouterHotSpread: a hot key's requests alternate across its replica
 // set instead of hammering the primary.
 func TestRouterHotSpread(t *testing.T) {
-	rt, front, workers := newRouterHarness(t, 3, RouterConfig{HedgeDelay: -1})
+	rt, front, workers := newRouterHarness(t, 3, RouterConfig{})
 	const seed = 11
 	owners := rt.mem.Ring().Owners(keyOf(seed), 2)
 	for i := 0; i < hotThreshold+20; i++ {
@@ -253,135 +239,6 @@ func TestRouterHotSpread(t *testing.T) {
 	}
 }
 
-// TestHedgingWinsOverSlowPrimary pins the tail-latency path: the primary
-// stalls, the hedge fires after the configured delay, the replica's
-// response wins, and the loser's in-flight work is cancelled through its
-// request context. Counters surface in /stats and /metrics.
-func TestHedgingWinsOverSlowPrimary(t *testing.T) {
-	rt, front, workers := newRouterHarness(t, 2, RouterConfig{
-		HedgeDelay: 30 * time.Millisecond,
-		Observe:    obs.New(),
-	})
-	const seed = 5
-	owners := rt.mem.Ring().Owners(keyOf(seed), 2)
-	prim := stubByID(t, workers, owners[0])
-	prim.delay.Store(int64(2 * time.Second)) // way past the hedge delay
-
-	start := time.Now()
-	resp, body := postRaw(t, front.URL+"/v1/energy", energyBody(seed))
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("hedged request took %v; the hedge never fired", d)
-	}
-	if got := resp.Header.Get(WorkerHeader); got != owners[1] {
-		t.Fatalf("served by %s, want hedge replica %s", got, owners[1])
-	}
-	if !bytes.Contains(body, []byte(owners[1])) {
-		t.Fatalf("response body %s not from replica", body)
-	}
-
-	st := rt.Stats()
-	if st.Hedge.Launched == 0 || st.Hedge.Wins == 0 {
-		t.Fatalf("hedge counters launched=%d wins=%d, want both > 0", st.Hedge.Launched, st.Hedge.Wins)
-	}
-	// Loser cancellation: the slow stub's handler must observe the
-	// context cancel (its work was cut, not run to completion).
-	deadline := time.Now().Add(3 * time.Second)
-	for prim.canceled.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("loser's handler never saw cancellation")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	waitHedgeSettled(t, rt, 1)
-	if got := rt.met.hedgesCanceled.Load(); got == 0 {
-		t.Fatalf("hedgesCanceled = %d, want > 0", got)
-	}
-
-	// /stats exposure.
-	resp2, stats := postGet(t, front.URL+"/stats")
-	if resp2.StatusCode != 200 || !bytes.Contains(stats, []byte(`"launched"`)) {
-		t.Fatalf("/stats missing hedge block: %d %s", resp2.StatusCode, stats)
-	}
-	// /metrics exposure.
-	resp3, metrics := postGet(t, front.URL+"/metrics")
-	if resp3.StatusCode != 200 || !bytes.Contains(metrics, []byte("octgb_fabric_hedges_total")) {
-		t.Fatalf("/metrics missing hedge counter: %d", resp3.StatusCode)
-	}
-	if !bytes.Contains(metrics, []byte(`octgb_fabric_upstream_seconds_bucket{worker=`)) {
-		t.Fatal("/metrics missing per-shard upstream latency series")
-	}
-}
-
-// TestHedgingDeduplicates pins the duplicate path: both legs answer (the
-// stubs barrier until both arrived, so neither can be cancelled before
-// responding), the client sees exactly one response, and the duplicate is
-// discarded and counted.
-func TestHedgingDeduplicates(t *testing.T) {
-	rt, front, workers := newRouterHarness(t, 2, RouterConfig{HedgeDelay: 10 * time.Millisecond})
-	barrier := make(chan struct{})
-	arrivals := &atomic.Int64{}
-	for _, w := range workers {
-		w.barrier = barrier
-	}
-	// Release the barrier once both legs have arrived.
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for arrivals.Load() < 2 && time.Now().Before(deadline) {
-			n := int64(0)
-			for _, w := range workers {
-				n += w.hits.Load()
-			}
-			arrivals.Store(n)
-			time.Sleep(time.Millisecond)
-		}
-		close(barrier)
-	}()
-
-	resp, body := postRaw(t, front.URL+"/v1/energy", energyBody(9))
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	// Exactly one JSON document came back.
-	var one map[string]any
-	if err := json.Unmarshal(body, &one); err != nil {
-		t.Fatalf("client saw a malformed (duplicated?) body: %v: %s", err, body)
-	}
-	total := int64(0)
-	for _, w := range workers {
-		total += w.hits.Load()
-	}
-	if total != 2 {
-		t.Fatalf("upstream hits = %d, want 2 (request duplicated to both shards)", total)
-	}
-	waitHedgeSettled(t, rt, 1)
-	st := rt.Stats()
-	if st.Hedge.Launched != 1 {
-		t.Fatalf("launched = %d, want 1", st.Hedge.Launched)
-	}
-	if st.Hedge.Deduped+st.Hedge.Canceled != 1 {
-		t.Fatalf("deduped=%d canceled=%d, want exactly one loser accounted", st.Hedge.Deduped, st.Hedge.Canceled)
-	}
-}
-
-// waitHedgeSettled waits until every launched hedge's loser has been
-// accounted (the drain goroutine runs off the request path).
-func waitHedgeSettled(t *testing.T, rt *Router, launched int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := rt.Stats()
-		if st.Hedge.Wins+st.Hedge.Deduped+st.Hedge.Canceled >= launched &&
-			st.Hedge.Deduped+st.Hedge.Canceled >= launched {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("hedge accounting never settled: %+v", rt.Stats().Hedge)
-}
-
 func postGet(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -396,7 +253,7 @@ func postGet(t *testing.T, url string) (*http.Response, []byte) {
 // TestRouterNoWorkers: an empty ring is a clean 503 with the no_workers
 // token, not a hang or a panic.
 func TestRouterNoWorkers(t *testing.T) {
-	rt := NewRouter(RouterConfig{Timeout: 200 * time.Millisecond, HedgeDelay: -1})
+	rt := NewRouter(RouterConfig{Timeout: 200 * time.Millisecond})
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 	resp, body := postRaw(t, front.URL+"/v1/energy", energyBody(1))
@@ -412,7 +269,7 @@ func TestRouterNoWorkers(t *testing.T) {
 // TestRouterBadRequest: malformed bodies are rejected at the router with
 // the workers' token vocabulary.
 func TestRouterBadRequest(t *testing.T) {
-	_, front, _ := newRouterHarness(t, 1, RouterConfig{HedgeDelay: -1})
+	_, front, _ := newRouterHarness(t, 1, RouterConfig{})
 	resp, body := postRaw(t, front.URL+"/v1/energy", []byte("{not json"))
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("bad_request")) {
 		t.Fatalf("status %d body %s, want 400 bad_request", resp.StatusCode, body)
@@ -426,4 +283,42 @@ func TestRouterBadRequest(t *testing.T) {
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/energy: %d, want 405", resp2.StatusCode)
 	}
+}
+
+// TestRouterBodyReadErrorIsBadRequest: a body that fails mid-read (a
+// client gone mid-upload) is the client's fault, not an oversized body —
+// 400 bad_request, not 413 too_large — on every body-reading route.
+func TestRouterBodyReadErrorIsBadRequest(t *testing.T) {
+	rt := NewRouter(RouterConfig{Timeout: 200 * time.Millisecond})
+	for _, path := range []string{"/v1/energy", "/v1/sweep", "/v1/stream", "/v1/stream/w0~s1/frame"} {
+		req := httptest.NewRequest(http.MethodPost, path, iotest.ErrReader(errors.New("client went away")))
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad_request") {
+			t.Errorf("%s: status %d body %s, want 400 bad_request", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestRoutingKeyMatchesCacheKey pins cache affinity: the key the router
+// derives from the wire atoms must equal KeyHash of the molecule.Hash the
+// workers use as cache-key material, or a molecule would route away from
+// the shard holding its prepared problem.
+func TestRoutingKeyMatchesCacheKey(t *testing.T) {
+	check := func(name string, m *molecule.Molecule) {
+		t.Helper()
+		if got, want := hashAtoms(serve.FromMolecule(m).Atoms), KeyHash(m.Hash()); got != want {
+			t.Errorf("%s: routing key %#x, cache key %#x", name, got, want)
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		n := 1 + int(seed*37%300)
+		check(fmt.Sprintf("protein seed=%d n=%d", seed, n), molecule.GenerateProtein("p", n, seed))
+	}
+	negZero := molecule.GenerateProtein("z", 3, 9)
+	negZero.Atoms[0].Pos.X = math.Copysign(0, -1)
+	negZero.Atoms[1].Pos.Y = math.Copysign(0, -1)
+	negZero.Atoms[2].Charge = math.Copysign(0, -1)
+	check("negative zero", negZero)
+	check("empty", &molecule.Molecule{})
 }
