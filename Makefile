@@ -4,10 +4,11 @@ GO ?= go
 
 ## verify: the tier-1 gate — build, vet (+staticcheck when installed), full
 ## tests, race-test the concurrency-bearing packages (scheduler, treecode
-## kernels, cluster transports, distributed engines, chaos harness,
-## observability, serving, fabric, load harness), smoke the /metrics
-## exposition, replay the committed load trace through the virtual-time
-## simulator and gate on its SLO, then run the fabric worker-crash matrix.
+## kernels, cluster transports, distributed engines, surface sampler,
+## chaos harness, observability, serving, fabric, load harness), smoke the
+## /metrics exposition, replay the committed load trace through the
+## virtual-time simulator and gate on its SLO, then run the fabric
+## worker-crash matrix.
 ## load-check joins verify (unlike the timing-based bench-*-check gates)
 ## because the simulation is deterministic — it cannot flake on a loaded
 ## machine. Run bench-kernels-check as well before merging kernel-touching
@@ -36,7 +37,7 @@ test:
 ## at GOMAXPROCS=4, so scheduler-dependent paths always run with more than
 ## one P, whatever the machine's core count.
 race:
-	GOMAXPROCS=4 $(GO) test -race . ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/clusterchaos/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
+	GOMAXPROCS=4 $(GO) test -race . ./internal/sched/... ./internal/core/... ./internal/cluster/... ./internal/engine/... ./internal/surface/... ./internal/clusterchaos/... ./internal/serve/... ./internal/obs/... ./internal/loadgen/... ./internal/fabric/...
 
 ## obs-smoke: boot the instrumented serving stack on a loopback port, drive
 ## requests through it and fail on any malformed /metrics exposition line
@@ -96,8 +97,8 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 ## bench-kernels: regenerate the committed BENCH_kernels.json micro-benchmark
-## report (flat vs recursive kernels, pooled evaluation, ParallelFor
-## dispatch).
+## report (surface sampling, flat vs recursive kernels, pooled evaluation,
+## ParallelFor dispatch).
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 

@@ -1,9 +1,10 @@
 // Command benchkernels measures the micro-level costs behind the
-// two-phase treecode: the Born and energy evaluation phases (recursive
-// fused traversal vs flat interaction-list kernels, plus the list rebuild
-// cost amortized by ε-sweeps and docking poses), the same flat kernels
-// under the work-stealing pool at GOMAXPROCS workers, and ParallelFor
-// dispatch through the work-stealing pool.
+// two-phase treecode: surface sampling (serial and at GOMAXPROCS workers),
+// the Born and energy evaluation phases (recursive fused traversal vs flat
+// interaction-list kernels, plus the list rebuild cost amortized by
+// ε-sweeps and docking poses), the same flat kernels under the
+// work-stealing pool at GOMAXPROCS workers, and ParallelFor dispatch
+// through the work-stealing pool.
 //
 // Results are printed and written as JSON (default BENCH_kernels.json,
 // the file committed at the repository root).
@@ -100,6 +101,18 @@ func main() {
 	workers := runtime.GOMAXPROCS(0)
 	pool := sched.NewPool(workers)
 	rep.Derived["par_workers"] = float64(workers)
+
+	// ---- surface sampling (the cold path's exposure test) ----------------
+	run("surface/sample", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			surface.Sample(m, surface.Default())
+		}
+	})
+	run("surface/sample-par", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			surface.SampleParallel(m, surface.Default(), workers)
+		}
+	})
 
 	recNS := run("born/recursive", func(b *testing.B) {
 		sN, sA := bs.NewAccumulators()

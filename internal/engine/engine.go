@@ -159,9 +159,10 @@ func NewProblem(mol *molecule.Molecule, so surface.Options) *Problem {
 	return newProblem(mol, surface.Sample(mol, so))
 }
 
-// NewProblemParallel is NewProblem with the surface sampling spread over a
-// work-stealing pool — identical output, useful for very large molecules
-// on real multicore machines.
+// NewProblemParallel is NewProblem with the surface sampling's per-atom
+// burial tests spread over a work-stealing pool of `workers` threads. The
+// q-points are bitwise those of NewProblem at every worker count; the
+// server's cache-miss path uses it with the evaluation's thread count.
 func NewProblemParallel(mol *molecule.Molecule, so surface.Options, workers int) *Problem {
 	return newProblem(mol, surface.SampleParallel(mol, so, workers))
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"octgb/internal/gb"
@@ -59,13 +60,19 @@ func TestDivisionConstantsDistinct(t *testing.T) {
 func TestNewProblemParallelMatchesSerial(t *testing.T) {
 	m := testProblem(500, 303).Mol
 	a := NewProblem(m, surface.Default())
-	b := NewProblemParallel(m, surface.Default(), 4)
-	if len(a.QPts) != len(b.QPts) {
-		t.Fatalf("q-point counts differ: %d vs %d", len(a.QPts), len(b.QPts))
-	}
-	for i := range a.QPts {
-		if a.QPts[i] != b.QPts[i] {
-			t.Fatalf("q-point %d differs", i)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 3, 8} {
+			b := NewProblemParallel(m, surface.Default(), workers)
+			if len(a.QPts) != len(b.QPts) {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: q-point counts differ: %d vs %d", procs, workers, len(a.QPts), len(b.QPts))
+			}
+			for i := range a.QPts {
+				if a.QPts[i] != b.QPts[i] {
+					t.Fatalf("GOMAXPROCS=%d workers=%d: q-point %d differs", procs, workers, i)
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ package molecule
 
 import (
 	"fmt"
+	"math"
 
 	"octgb/internal/geom"
 )
@@ -89,8 +90,8 @@ func (m *Molecule) Validate() error {
 		if !a.Pos.IsFinite() {
 			return fmt.Errorf("molecule %q: atom %d has non-finite position", m.Name, i)
 		}
-		if a.Radius <= 0 {
-			return fmt.Errorf("molecule %q: atom %d has non-positive radius %g", m.Name, i, a.Radius)
+		if !(a.Radius > 0) || math.IsInf(a.Radius, 1) { // NaN fails the first test
+			return fmt.Errorf("molecule %q: atom %d has radius %g, want finite and positive", m.Name, i, a.Radius)
 		}
 		if a.Charge != a.Charge || a.Charge > 1e3 || a.Charge < -1e3 {
 			return fmt.Errorf("molecule %q: atom %d has bad charge %g", m.Name, i, a.Charge)

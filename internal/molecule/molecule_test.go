@@ -161,6 +161,12 @@ func TestValidateCatchesBadAtoms(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Error("NaN position not caught")
 	}
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m = &Molecule{Name: "bad", Atoms: []Atom{{Pos: geom.V(0, 0, 0), Radius: r, Charge: 0}}}
+		if err := m.Validate(); err == nil {
+			t.Errorf("radius %v not caught", r)
+		}
+	}
 }
 
 func TestCentroidOfEmpty(t *testing.T) {

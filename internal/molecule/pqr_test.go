@@ -57,4 +57,9 @@ func TestReadPQRErrors(t *testing.T) {
 	if _, err := ReadPQR(strings.NewReader("ATOM a b c d e f\n"), "x"); err == nil {
 		t.Error("non-numeric line accepted")
 	}
+	for _, r := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+		if _, err := ReadPQR(strings.NewReader("ATOM 1 X MOL 1 1 2 3 0.5 "+r+"\n"), "x"); err == nil {
+			t.Errorf("radius %s accepted", r)
+		}
+	}
 }

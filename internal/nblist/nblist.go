@@ -95,8 +95,10 @@ func (c *CellList) ForEachNeighbor(i int, cutoff float64, fn func(j int32)) int6
 }
 
 // ForEachInBall calls fn(j) for every point j ≠ exclude within cutoff of p.
+// A list built with a non-positive cell edge holds no points and finds
+// nothing.
 func (c *CellList) ForEachInBall(p geom.Vec3, cutoff float64, exclude int32, fn func(j int32)) int64 {
-	if len(c.pts) == 0 {
+	if len(c.pts) == 0 || c.cell <= 0 {
 		return 0
 	}
 	c2 := cutoff * cutoff

@@ -44,11 +44,12 @@ func (s *Server) recordEval(ns int64) {
 }
 
 // buildPrepared is the cache-miss path: sample the surface, build the
-// trees, run the Born phase. Stage timings are recorded globally and on
-// the entry (cold responses echo them).
+// trees, run the Born phase. Sampling uses the evaluation's Threads, as
+// Prepare does. Stage timings are recorded globally and on the entry
+// (cold responses echo them).
 func (s *Server) buildPrepared(mol *molecule.Molecule, o evalOpts) (*built, error) {
 	t0 := time.Now()
-	pr := engine.NewProblem(mol, o.surf)
+	pr := engine.NewProblemParallel(mol, o.surf, s.cfg.Threads)
 	t1 := time.Now()
 	p, err := engine.Prepare(pr, s.engineOpts(o))
 	if err != nil {

@@ -166,8 +166,8 @@ func centerTree(m *molecule.Molecule, scale float64) (*octree.Tree, float64) {
 
 // buriedByAny reports whether p lies strictly inside any atom of mol —
 // the cross-molecule half of Sample's burial rule, where no atom is
-// "self". The strictness threshold matches buried exactly so composed
-// surfaces reproduce Sample's culling decisions.
+// "self". The strictness threshold matches Sample's exactly so composed
+// surfaces reproduce its culling decisions.
 func buriedByAny(tree *octree.Tree, mol *molecule.Molecule, scale float64, p geom.Vec3, maxR float64) bool {
 	hit := false
 	tree.ForEachInBall(p, maxR, func(ti int32) bool {
